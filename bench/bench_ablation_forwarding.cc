@@ -67,7 +67,7 @@ void
 replayAccuracy(CellResult &cell, const trace::Trace &trace)
 {
     pred::PredictorBank bank(trace.numNodes, pred::CosmosConfig{2, 0});
-    bank.replay(trace);
+    bank.replayBatched(trace);
     cell.acc[0] = bank.accuracy().cacheSide().percent();
     cell.acc[1] = bank.accuracy().directorySide().percent();
     cell.acc[2] = bank.accuracy().overall().percent();

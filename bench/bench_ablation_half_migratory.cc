@@ -40,10 +40,10 @@ main()
 
         pred::PredictorBank bank_hm(hm.numNodes,
                                     pred::CosmosConfig{1, 0});
-        bank_hm.replay(hm);
+        bank_hm.replayBatched(hm);
         pred::PredictorBank bank_dg(dg.numNodes,
                                     pred::CosmosConfig{1, 0});
-        bank_dg.replay(dg);
+        bank_dg.replayBatched(dg);
 
         const double delta =
             100.0 *

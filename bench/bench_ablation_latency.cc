@@ -39,7 +39,7 @@ main()
             auto result = harness::runWorkload(cfg);
             pred::PredictorBank bank(result.trace.numNodes,
                                      pred::CosmosConfig{1, 0});
-            bank.replay(result.trace);
+            bank.replayBatched(result.trace);
             rates[i] = bank.accuracy().overall().percent();
         }
         table.addRow({app, TextTable::num(rates[0], 1),

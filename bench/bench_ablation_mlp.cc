@@ -46,7 +46,7 @@ main()
             auto result = harness::runWorkload(cfg);
             pred::PredictorBank bank(result.trace.numNodes,
                                      pred::CosmosConfig{2, 0});
-            bank.replay(result.trace);
+            bank.replayBatched(result.trace);
             row.push_back(TextTable::num(
                 bank.accuracy().overall().percent(), 1));
             if (mlp == 1)

@@ -50,7 +50,7 @@ main()
 
             pred::PredictorBank bank(result.trace.numNodes,
                                      pred::CosmosConfig{2, 0});
-            bank.replay(result.trace);
+            bank.replayBatched(result.trace);
             const auto &acc = bank.accuracy();
 
             table.addRow(

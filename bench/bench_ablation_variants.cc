@@ -45,7 +45,7 @@ double
 accuracyWith(const trace::Trace &trace, pred::PredictorFactory factory)
 {
     pred::PredictorBank bank(trace.numNodes, std::move(factory));
-    bank.replay(trace);
+    bank.replayBatched(trace);
     return bank.accuracy().overall().percent();
 }
 
@@ -98,7 +98,7 @@ main()
                 return std::make_unique<pred::SenderSetPredictor>(
                     pred::CosmosConfig{2, 0});
             });
-        set_bank.replay(trace);
+        set_bank.replayBatched(trace);
         double mean_set = 0.0;
         std::uint64_t samples = 0;
         for (NodeId n = 0; n < trace.numNodes; ++n) {
@@ -137,7 +137,7 @@ main()
         for (unsigned cap : {1u, 2u, 4u, 8u, 0u}) {
             pred::PredictorBank bank(trace.numNodes,
                                      pred::CosmosConfig{2, 0, cap});
-            bank.replay(trace);
+            bank.replayBatched(trace);
             row.push_back(TextTable::num(
                 bank.accuracy().overall().percent(), 1));
         }

@@ -47,7 +47,7 @@ main()
         const auto &trace = harness::cachedTrace(app, iters);
         pred::PredictorBank bank(trace.numNodes,
                                  pred::CosmosConfig{1, 0});
-        bank.replay(trace);
+        bank.replayBatched(trace);
 
         std::vector<std::string> row = {app};
         std::vector<std::string> csv_row = {app};

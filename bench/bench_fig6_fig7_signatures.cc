@@ -35,7 +35,7 @@ main()
         const auto &trace = harness::cachedTrace(app);
         pred::PredictorBank bank(trace.numNodes,
                                  pred::CosmosConfig{1, 0});
-        bank.replay(trace);
+        bank.replayBatched(trace);
 
         std::printf("--- %s ---\n", app.c_str());
         if (const char *dir = std::getenv("COSMOS_FIGURE_DIR")) {

@@ -47,9 +47,9 @@ compareOn(const trace::Trace &trace, const char *label)
 {
     pred::PredictorBank cosmos_bank(trace.numNodes,
                                     pred::CosmosConfig{2, 0});
-    cosmos_bank.replay(trace);
+    cosmos_bank.replayBatched(trace);
     auto directed = directedBank(trace.numNodes);
-    directed.replay(trace);
+    directed.replayBatched(trace);
 
     std::printf("  %-22s Cosmos(d2): C=%3.0f%% D=%3.0f%% O=%3.0f%%   "
                 "directed:   C=%3.0f%% D=%3.0f%% O=%3.0f%%\n",
@@ -79,7 +79,7 @@ main()
         auto result = harness::runWorkload(cfg, workload);
 
         auto directed = directedBank(16);
-        directed.replay(result.trace);
+        directed.replayBatched(result.trace);
         std::uint64_t marked = 0;
         for (NodeId n = 0; n < 16; ++n) {
             marked += dynamic_cast<pred::DsiPredictor *>(
@@ -105,7 +105,7 @@ main()
         auto result = harness::runWorkload(cfg, workload);
 
         auto directed = directedBank(16);
-        directed.replay(result.trace);
+        directed.replayBatched(result.trace);
         std::uint64_t migratory = 0;
         for (NodeId n = 0; n < 16; ++n) {
             migratory += dynamic_cast<pred::MigratoryPredictor *>(

@@ -43,7 +43,7 @@ main()
             auto result = harness::runWorkload(cfg);
             pred::PredictorBank bank(result.trace.numNodes,
                                      pred::CosmosConfig{2, 0});
-            bank.replay(result.trace);
+            bank.replayBatched(result.trace);
             const double o = bank.accuracy().overall().percent();
             lo = std::min(lo, o);
             hi = std::max(hi, o);

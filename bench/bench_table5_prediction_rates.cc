@@ -34,14 +34,6 @@ namespace
 
 using namespace cosmos;
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 } // namespace
 
 int
@@ -84,23 +76,23 @@ main()
     for (const auto &app : bench::apps)
         harness::cachedTrace(app);
 
-    // Serial reference pass (the seed's code path), timed.
+    // Serial reference pass (one batched bank per cell), timed.
     auto start = std::chrono::steady_clock::now();
     std::vector<pred::AccuracyTracker> serial;
     serial.reserve(jobs.size());
     for (const auto &job : jobs) {
         const auto &trace = harness::cachedTrace(job.app);
         pred::PredictorBank bank(trace.numNodes, job.config);
-        bank.replay(trace);
+        bank.replayBatched(trace);
         serial.push_back(bank.accuracy());
     }
-    const double serial_s = secondsSince(start);
+    const double serial_s = bench::secondsSince(start);
 
     // Parallel sweep over the same grid, timed.
     const unsigned threads = replay::ThreadPool::defaultThreadCount();
     start = std::chrono::steady_clock::now();
     const auto results = harness::runSweep(jobs, {.threads = threads});
-    const double sweep_s = secondsSince(start);
+    const double sweep_s = bench::secondsSince(start);
 
     // The sweep must reproduce the serial counts bit-for-bit.
     for (std::size_t i = 0; i < jobs.size(); ++i) {

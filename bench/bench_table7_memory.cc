@@ -56,7 +56,7 @@ main()
             const auto &trace = harness::cachedTrace(app);
             pred::PredictorBank bank(trace.numNodes,
                                      pred::CosmosConfig{depth, 0});
-            bank.replay(trace);
+            bank.replayBatched(trace);
             const auto mem = bank.memoryStats();
             row.push_back(TextTable::num(mem.ratio(), 1));
             row.push_back(TextTable::num(mem.overheadPercent(), 1) +

@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace cosmos::bench
@@ -73,36 +72,6 @@ secondsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/** One timed measurement: repetitions and their summed seconds. */
-struct TimedResult
-{
-    int reps = 0;
-    double seconds = 0.0;
-};
-
-/**
- * Repeat @p body until its timed portions sum past @p min_seconds,
- * after @p warmup untimed iterations (first-touch page faults, cold
- * i-cache, and allocator growth land in the warmup, not the
- * measurement). @p body runs one full repetition and returns the
- * seconds of its *timed region* -- so setup a repetition needs
- * (bank construction, table reservation) can stay untimed inside
- * the body.
- */
-template <class Body>
-TimedResult
-runTimed(Body &&body, double min_seconds, int warmup = 1)
-{
-    for (int i = 0; i < warmup; ++i)
-        (void)body();
-    TimedResult r;
-    while (r.seconds < min_seconds) {
-        r.seconds += body();
-        ++r.reps;
-    }
-    return r;
 }
 
 } // namespace cosmos::bench

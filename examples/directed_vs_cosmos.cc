@@ -37,9 +37,9 @@ report(const char *label, const trace::Trace &trace)
                 return std::make_unique<pred::DsiPredictor>();
             return std::make_unique<pred::MigratoryPredictor>();
         });
-    cosmos1.replay(trace);
-    cosmos3.replay(trace);
-    directed.replay(trace);
+    cosmos1.replayBatched(trace);
+    cosmos3.replayBatched(trace);
+    directed.replayBatched(trace);
 
     std::printf("%-28s directed %5.1f%%   Cosmos d1 %5.1f%%   "
                 "Cosmos d3 %5.1f%%\n",

@@ -57,7 +57,7 @@ main()
     pred::PredictorBank bank(cfg.machine.numNodes,
                              pred::CosmosConfig{/*depth=*/1,
                                                 /*filterMax=*/0});
-    bank.replay(result.trace);
+    bank.replayBatched(result.trace);
 
     const auto &acc = bank.accuracy();
     std::printf("\nCosmos (MHR depth 1, no filter):\n");

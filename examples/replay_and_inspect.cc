@@ -50,7 +50,7 @@ main(int argc, char **argv)
     for (unsigned depth = 1; depth <= 4; ++depth) {
         pred::PredictorBank bank(trace.numNodes,
                                  pred::CosmosConfig{depth, 0});
-        bank.replay(trace);
+        bank.replayBatched(trace);
         std::printf("  depth %u: %5.1f%% overall (%5.1f%% cache, "
                     "%5.1f%% directory)\n",
                     depth, bank.accuracy().overall().percent(),
@@ -60,7 +60,7 @@ main(int argc, char **argv)
 
     // --- 3c. signature graph ---------------------------------------
     pred::PredictorBank bank(trace.numNodes, pred::CosmosConfig{1, 0});
-    bank.replay(trace);
+    bank.replayBatched(trace);
     const auto files = harness::dumpSignatureDots(
         app, bank.arcs(proto::Role::cache),
         bank.arcs(proto::Role::directory), "/tmp");

@@ -42,7 +42,7 @@ main(int argc, char **argv)
 
     pred::PredictorBank bank(result.trace.numNodes,
                              pred::CosmosConfig{1, 0});
-    bank.replay(result.trace);
+    bank.replayBatched(result.trace);
 
     for (auto role : {proto::Role::cache, proto::Role::directory}) {
         std::printf("dominant signatures at the %s "
@@ -61,7 +61,7 @@ main(int argc, char **argv)
     for (unsigned depth = 1; depth <= 4; ++depth) {
         pred::PredictorBank b(result.trace.numNodes,
                               pred::CosmosConfig{depth, 0});
-        b.replay(result.trace);
+        b.replayBatched(result.trace);
         std::printf("  depth %u: cache %5.1f%%  directory %5.1f%%  "
                     "overall %5.1f%%\n",
                     depth, b.accuracy().cacheSide().percent(),

@@ -36,11 +36,6 @@ Schemas:
                   sharing class whose record counts sum to the
                   message total and whose census agreement never
                   exceeds the blocks seen
-    bench         a cosmos-bench-predictor-v2 document from
-                  bench_predictor_throughput: passing goldens, the
-                  batch-pipeline tunables, scalar AND batched serial
-                  dsmc cells, and sweep / stream sections that each
-                  carry their thread, shard, and chunk metadata
     forwarding    a cosmos-bench-forwarding-v1 document from
                   bench_ablation_forwarding: one row per app covering
                   the never/always/predicted cells, each with timing,
@@ -385,74 +380,6 @@ def check_forge(doc):
     return None
 
 
-BENCH_BATCH_KEYS = {"depth", "prefetch_distance", "window",
-                    "group_bits"}
-
-BENCH_CELL_KEYS = {"mode", "depth", "reps", "seconds",
-                   "messages_per_sec"}
-
-BENCH_SWEEP_KEYS = {"threads", "cells", "messages", "seconds",
-                    "messages_per_sec"}
-
-BENCH_STREAM_KEYS = {"blocks", "procs", "threads", "shards",
-                     "chunk_records", "messages", "accesses",
-                     "chunks", "seconds", "messages_per_sec"}
-
-
-def check_bench(doc):
-    if not isinstance(doc, dict):
-        return "top level is not an object"
-    if doc.get("schema") != "cosmos-bench-predictor-v2":
-        return f"unexpected schema field: {doc.get('schema')!r}"
-    if doc.get("goldens") != "pass":
-        return f"goldens did not pass: {doc.get('goldens')!r}"
-    if not isinstance(doc.get("golden_cells"), int) \
-            or doc["golden_cells"] <= 0:
-        return "missing positive integer \"golden_cells\""
-    batch = doc.get("batch")
-    if not isinstance(batch, dict):
-        return "missing \"batch\" object"
-    missing = BENCH_BATCH_KEYS - batch.keys()
-    if missing:
-        return f"batch missing keys: {sorted(missing)}"
-    serial = doc.get("serial_dsmc")
-    if not isinstance(serial, dict):
-        return "missing \"serial_dsmc\" object"
-    if not isinstance(serial.get("records"), int):
-        return "serial_dsmc missing integer \"records\""
-    cells = serial.get("cells")
-    if not isinstance(cells, list) or not cells:
-        return "serial_dsmc has no cells"
-    modes = set()
-    for i, c in enumerate(cells):
-        if not isinstance(c, dict):
-            return f"serial cell {i} is not an object"
-        missing = BENCH_CELL_KEYS - c.keys()
-        if missing:
-            return f"serial cell {i} missing keys: {sorted(missing)}"
-        if c["mode"] not in ("scalar", "batched"):
-            return f"serial cell {i} has unknown mode {c['mode']!r}"
-        if c["messages_per_sec"] <= 0:
-            return f"serial cell {i} reports no throughput"
-        modes.add(c["mode"])
-    if modes != {"scalar", "batched"}:
-        return f"serial cells cover modes {sorted(modes)}, " \
-               f"need both scalar and batched"
-    for section, keys in (("sweep", BENCH_SWEEP_KEYS),
-                          ("stream", BENCH_STREAM_KEYS)):
-        s = doc.get(section)
-        if not isinstance(s, dict):
-            return f"missing \"{section}\" object"
-        missing = keys - s.keys()
-        if missing:
-            return f"{section} missing keys: {sorted(missing)}"
-    if doc["stream"]["messages"] <= 0:
-        return "stream replayed no messages"
-    if doc["stream"]["shards"] <= 0:
-        return "stream reports no shards"
-    return None
-
-
 FORWARDING_CELL_KEYS = {"mode", "time", "cache_pct", "directory_pct",
                         "overall_pct", "forwards_sent",
                         "forwards_suppressed", "fwd_acks",
@@ -512,8 +439,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--schema", default="any",
                     choices=["any", "metrics", "chrome-trace",
-                             "fuzz", "model", "forge", "bench",
-                             "forwarding", "lint"])
+                             "fuzz", "model", "forge", "forwarding",
+                             "lint"])
     ap.add_argument("files", nargs="+", metavar="FILE")
     args = ap.parse_args()
 
@@ -535,8 +462,6 @@ def main():
             error = check_model(doc)
         elif args.schema == "forge":
             error = check_forge(doc)
-        elif args.schema == "bench":
-            error = check_bench(doc)
         elif args.schema == "forwarding":
             error = check_forwarding(doc)
         elif args.schema == "lint":

@@ -25,13 +25,6 @@ now_ms() { echo $(($(date +%s%N) / 1000000)); }
 for b in build/bench/bench_*; do
     start=$(now_ms)
     case "$(basename "$b")" in
-        bench_microperf)
-            "$b" --benchmark_min_time=0.05 > /dev/null ;;
-        bench_predictor_throughput)
-            # Smoke only; the tracked run happens in Release below.
-            "$b" --min-seconds 0.05 \
-                 --stream-messages 500000 --stream-blocks 65536 \
-                 --out build/BENCH_predictor_throughput.json > /dev/null ;;
         bench_forge)
             "$b" --out build/BENCH_forge.json > /dev/null ;;
         bench_ablation_forwarding)
@@ -245,53 +238,52 @@ python3 scripts/check_json.py --schema fuzz artifacts/fuzz_forge.json
 echo "== forge smoke OK (round-trip, malformed line rejected," \
      "report valid, structured fuzz clean)"
 
-# Release-mode perf smoke (-O2 -DNDEBUG): the golden-gated throughput
-# bench replays the full Table 5/6 grid through both the batched and
-# the 4-shard pipelines, fails the build on any accuracy drift from
-# tests/fixtures/golden_accuracy.hh, and publishes its JSON so
-# successive runs can be compared. The batched serial dsmc cell must
-# also clear a generous absolute throughput floor (override with
-# COSMOS_PERF_FLOOR_MPS; 0 disables) -- a regression that halves the
-# batched path shows up here even when the goldens stay green.
-# shellcheck disable=SC2046
-cmake -B build-release $(gen_for build-release) \
-    -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release --target bench_predictor_throughput
+# Release perf stage on the pipeline benchmark (perfbench/; run.py
+# builds it Release into .bench_build/). The self-check plants one
+# wrong golden counter and must see exactly that cell counted as
+# failed. The traced replay-grid run checks every sweep cell against
+# serial replay and, at seed 0, against
+# tests/fixtures/golden_accuracy.hh: the stage fails unless its result
+# line reports "correct": true and "failed": 0. The serial batched
+# replay rate (cosmos.msgs_per_s) must also clear a generous absolute
+# floor (override with COSMOS_PERF_FLOOR_MPS; 0 disables) -- a
+# regression that halves the batched path shows up here even when
+# the goldens stay green.
 mkdir -p artifacts
 start=$(now_ms)
-./build-release/bench/bench_predictor_throughput \
-    --out artifacts/BENCH_predictor_throughput.json
-echo "== release perf smoke ($(($(now_ms) - start)) ms)"
-python3 scripts/check_json.py --schema bench \
-    artifacts/BENCH_predictor_throughput.json
-python3 - artifacts/BENCH_predictor_throughput.json <<'EOF'
+python3 perfbench/run.py --self-check
+python3 perfbench/run.py --workload replay-grid --seed 0 --seconds 5 \
+    --trace 1 > artifacts/perfbench_replay_grid.txt
+echo "== release perf stage ($(($(now_ms) - start)) ms)"
+python3 - artifacts/perfbench_replay_grid.txt <<'EOF'
 import json, os, sys
-doc = json.load(open(sys.argv[1]))
-floor = float(os.environ.get("COSMOS_PERF_FLOOR_MPS", "18000000"))
-mps = min(c["messages_per_sec"]
-          for c in doc["serial_dsmc"]["cells"]
-          if c["mode"] == "batched" and c["depth"] == 1)
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"perfbench replay-grid: correct={result['correct']}, "
+             f"failed={result['failed']} of {result['attempted']}")
+floor = float(os.environ.get("COSMOS_PERF_FLOOR_MPS", "6576000"))
+mps = result["metrics"]["cosmos.msgs_per_s"]["value"]
 if floor > 0 and mps < floor:
-    sys.exit(f"perf floor: batched dsmc depth-1 ran at {mps:.0f} "
+    sys.exit(f"perf floor: serial batched replay ran at {mps:.0f} "
              f"msg/s, below the {floor:.0f} floor")
-print(f"perf floor OK: batched dsmc depth-1 at {mps / 1e6:.1f} "
+print(f"perf floor OK: serial batched replay at {mps / 1e6:.1f} "
       f"M msg/s (floor {floor / 1e6:.1f} M)")
 EOF
-echo "== artifact: artifacts/BENCH_predictor_throughput.json"
+echo "== artifact: artifacts/perfbench_replay_grid.txt"
 
 # ThreadSanitizer pass over the parallel replay engine: the
 # determinism + ThreadPool + trace-cache concurrency tests must run
 # race-free, and so must the sharded predictor bank's two-phase
 # stageChunk/applyShard pipeline (workers apply disjoint shards of
-# one staged chunk concurrently).
+# one staged chunk concurrently) -- both directly and through
+# SweepEngine::replayTrace on the full dsmc trace.
 # shellcheck disable=SC2046
 cmake -B build-tsan $(gen_for build-tsan) -DCOSMOS_TSAN=ON
 cmake --build build-tsan --target replay_test harness_test batch_test
 start=$(now_ms)
 ./build-tsan/tests/replay_test
 ./build-tsan/tests/harness_test --gtest_filter='TraceCache.*'
-./build-tsan/tests/batch_test \
-    --gtest_filter='ShardedBank.*:StreamingReplay.*'
+./build-tsan/tests/batch_test --gtest_filter='ShardedBank.*'
 echo "== tsan replay/trace-cache/sharded-bank suites" \
      "($(($(now_ms) - start)) ms)"
 

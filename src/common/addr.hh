@@ -21,10 +21,9 @@ namespace cosmos
  *
  * Deterministic (a fixed splitmix64 finalizer, no process-dependent
  * hashing) so shard layouts are reproducible across runs and builds.
- * Shared by replay::shardByBlock and pred::ShardedPredictorBank --
- * every block-sharded structure in the tree agrees on which shard a
- * block belongs to, which is what makes their per-shard statistics
- * mergeable against each other.
+ * pred::ShardedPredictorBank routes records with it, and every
+ * record of a block lands in that block's shard, which is what makes
+ * per-shard statistics sum to a serial replay's.
  */
 inline unsigned
 blockShardOf(Addr block, unsigned shards)

@@ -130,18 +130,6 @@ PredictorBank::replay(const trace::Trace &t, std::int32_t max_iteration)
 }
 
 void
-PredictorBank::replay(
-    const std::vector<const trace::TraceRecord *> &records,
-    std::int32_t max_iteration)
-{
-    for (const auto *r : records) {
-        if (r->iteration > max_iteration)
-            continue;
-        observe(*r);
-    }
-}
-
-void
 PredictorBank::applySlice(CosmosPredictor &p, bool dir_side,
                           const Addr *blocks,
                           const std::uint16_t *tuples,
@@ -303,33 +291,6 @@ PredictorBank::replayBatched(const trace::Trace &t,
 {
     observeChunk(t.records.data(), t.records.size(), max_iteration,
                  bc);
-}
-
-void
-PredictorBank::replayBatched(
-    const std::vector<const trace::TraceRecord *> &records,
-    std::int32_t max_iteration, const BatchConfig &bc)
-{
-    if (cosmosDepth_ == 0) {
-        replay(records, max_iteration);
-        return;
-    }
-    const std::size_t window = bc.window > 0 ? bc.window : 1;
-    const std::size_t n = records.size();
-    stage_.ensure(std::min(n, window));
-    for (std::size_t i = 0; i < n;) {
-        stage_.clear();
-        const std::size_t end = std::min(n, i + window);
-        for (; i < end; ++i) {
-            const trace::TraceRecord &r = *records[i];
-            if (r.iteration > max_iteration)
-                continue;
-            cosmos_assert(r.receiver < numNodes_, "bad node ",
-                          r.receiver);
-            stage_.push(r);
-        }
-        applyStaged(stage_, bc);
-    }
 }
 
 void

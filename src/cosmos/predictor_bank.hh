@@ -11,6 +11,10 @@
  * Because the paper evaluates prediction in isolation, a single
  * simulated trace can be replayed through banks of any configuration
  * -- depth and filter sweeps reuse one simulation.
+ *
+ * Production replay runs the batched path (replayBatched,
+ * observeChunk). The scalar replay() is the test oracle that
+ * every batched and sharded result must equal bit for bit.
  */
 
 #ifndef COSMOS_COSMOS_PREDICTOR_BANK_HH
@@ -53,39 +57,30 @@ class PredictorBank
     void observe(const trace::TraceRecord &r);
 
     /**
-     * Replay a whole trace. Records with iteration > @p max_iteration
-     * are skipped (Table 8 replays prefixes of one trace).
+     * Scalar replay of a whole trace, one observe() per record in
+     * trace order. Records with iteration > @p max_iteration are
+     * skipped (Table 8 replays prefixes of one trace). This is the
+     * reference the batched and sharded paths are tested against;
+     * production callers use replayBatched().
      */
     void replay(const trace::Trace &t,
                 std::int32_t max_iteration = INT32_MAX);
 
     /**
-     * Replay a pre-selected slice of a trace -- typically one block
-     * shard (replay/sharding.hh). Pointers must stay valid for the
-     * call; records are fed in the given order.
-     */
-    void replay(const std::vector<const trace::TraceRecord *> &records,
-                std::int32_t max_iteration = INT32_MAX);
-
-    /**
      * Batched replay: stage-then-apply over fixed-size batches (see
-     * cosmos/batch.hh). Bit-identical counters to the scalar replay
-     * overloads above -- the batch pipeline changes only when memory
-     * is touched, never what is computed. Non-Cosmos banks fall back
-     * to the scalar loop (their virtual observe dominates anyway).
+     * cosmos/batch.hh). Bit-identical counters to the scalar replay()
+     * -- the batch pipeline changes only when memory is touched,
+     * never what is computed. Non-Cosmos banks fall back to the
+     * scalar loop (their virtual observe dominates anyway).
      */
     void replayBatched(const trace::Trace &t,
                        std::int32_t max_iteration = INT32_MAX,
                        const BatchConfig &bc = {});
-    void replayBatched(
-        const std::vector<const trace::TraceRecord *> &records,
-        std::int32_t max_iteration = INT32_MAX,
-        const BatchConfig &bc = {});
 
     /**
-     * Feed one contiguous chunk of records through the batched path
-     * (the streaming replay entry; chunks arrive in stream order and
-     * the pointer only needs to live for the call).
+     * Feed one contiguous chunk of records through the batched path.
+     * Successive calls continue one replay; the pointer only needs to
+     * live for the call.
      */
     void observeChunk(const trace::TraceRecord *recs, std::size_t n,
                       std::int32_t max_iteration = INT32_MAX,

@@ -8,14 +8,16 @@
  * locks, no atomics, no false sharing -- each shard owns a private
  * bump arena, block table, and statistics. Summing the (integer)
  * per-shard counters in shard-index order is bit-identical to a
- * serial replay, the same invariant replay/sharding.hh establishes
- * for materialized traces.
+ * serial replay.
  *
- * The intended use is streaming fan-out (replay/stream.hh): a puller
- * thread stages each chunk into per-shard record buffers with
- * stageChunk(), then worker threads call applyShard() concurrently --
- * distinct shards touch disjoint state, so no synchronization beyond
- * the caller's join is needed.
+ * This is the tree's one block-sharding path. replay::SweepEngine
+ * feeds a materialised trace through it in 64k-record chunks, and
+ * streaming callers (harness::TrafficConfig::recordSink) feed it the
+ * simulator's chunks as they arrive. Either way a caller stages each
+ * chunk into per-shard record buffers with stageChunk(), then worker
+ * threads call applyShard() concurrently -- distinct shards touch
+ * disjoint state, so no synchronization beyond the caller's join is
+ * needed.
  *
  * NUMA note: a shard's arena and tables are allocated lazily, on
  * first insertion -- i.e. inside the first applyShard() call that
@@ -58,9 +60,8 @@ class ShardedPredictorBank
      * Route a chunk of records into per-shard staging buffers,
      * replacing the previous staging. Records keep chunk order
      * within each shard, and every record of one block lands in
-     * exactly one shard (common/addr.hh blockShardOf -- the same mix
-     * replay::shardByBlock uses), so per-shard applies reproduce the
-     * serial per-block order exactly.
+     * exactly one shard (common/addr.hh blockShardOf), so per-shard
+     * applies reproduce the serial per-block order exactly.
      */
     void stageChunk(const trace::TraceRecord *recs, std::size_t n);
 

@@ -55,15 +55,15 @@ scoreByClass(const trace::Trace &t, const SynthSource &src,
     for (BlockClass c : src.labels())
         ++score.classes[static_cast<unsigned>(c)].blocks;
 
-    // Partition the record stream by its block's ground-truth label.
-    // Prediction state is per block (sharded replay is bit-identical
-    // to serial, src/replay), so replaying each slice through its own
-    // bank gives exact per-class accuracy.
-    std::vector<std::vector<const trace::TraceRecord *>> slices(
+    // Partition the records by their block's ground-truth label.
+    // Prediction state is per block, so replaying each class's slice
+    // through its own bank gives exact per-class accuracy, and the
+    // slices' counters sum to a serial replay of the whole trace.
+    std::vector<std::vector<trace::TraceRecord>> slices(
         num_block_classes);
     for (const auto &r : t.records)
         slices[static_cast<unsigned>(src.labelOfAddr(r.block))]
-            .push_back(&r);
+            .push_back(r);
 
     for (unsigned i = 0; i < num_block_classes; ++i) {
         ClassScore &c = score.classes[i];
@@ -71,7 +71,7 @@ scoreByClass(const trace::Trace &t, const SynthSource &src,
         if (slices[i].empty())
             continue;
         pred::PredictorBank bank(t.numNodes, cfg);
-        bank.replay(slices[i]);
+        bank.observeChunk(slices[i].data(), slices[i].size());
         c.accuracy.merge(bank.accuracy());
         score.total.merge(bank.accuracy());
     }

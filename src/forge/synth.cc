@@ -212,28 +212,6 @@ SynthSource::labelOfAddr(Addr a) const
     return labels_[static_cast<std::size_t>(index)];
 }
 
-std::size_t
-SynthSource::accessesPerRound() const
-{
-    std::size_t total = 0;
-    for (BlockClass c : labels_) {
-        switch (c) {
-          case BlockClass::private_block:
-          case BlockClass::migratory:
-          case BlockClass::false_sharing:
-            total += 2;
-            break;
-          case BlockClass::read_only:
-            total += params_.numProcs;
-            break;
-          case BlockClass::producer_consumer:
-            total += 1 + params_.fanout;
-            break;
-        }
-    }
-    return total;
-}
-
 void
 SynthSource::emitBlock(unsigned index, unsigned phase_shift)
 {

@@ -28,7 +28,8 @@
  *
  * Registries are mergeable by name (counters add, gauges max their
  * high-water marks, histograms/summaries fold), so per-shard
- * registries reduce exactly like ReplayResult does.
+ * registries reduce exactly like a ShardedPredictorBank's shard
+ * statistics do.
  *
  * The registry is deliberately NOT thread-safe: hot paths keep their
  * own plain counters (or per-shard registries) and publish once at

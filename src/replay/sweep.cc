@@ -4,8 +4,8 @@
 
 #include "common/log.hh"
 #include "cosmos/predictor_bank.hh"
+#include "cosmos/sharded_bank.hh"
 #include "obs/trace_event.hh"
-#include "replay/sharding.hh"
 
 namespace cosmos::replay
 {
@@ -13,8 +13,15 @@ namespace cosmos::replay
 namespace
 {
 
+/** Records staged per chunk of a sharded replay: the staging buffers
+ *  hold one chunk while the shard banks persist across chunks. */
+constexpr std::size_t chunk_records = std::size_t{1} << 16;
+
+/** A finished bank's statistics (a ShardedPredictorBank folds its
+ *  shards in index order). */
+template <class Bank>
 ReplayResult
-extract(const pred::PredictorBank &bank)
+extract(const Bank &bank)
 {
     ReplayResult r;
     r.accuracy = bank.accuracy();
@@ -25,15 +32,6 @@ extract(const pred::PredictorBank &bank)
 }
 
 } // namespace
-
-void
-ReplayResult::merge(const ReplayResult &other)
-{
-    accuracy.merge(other.accuracy);
-    cacheArcs.merge(other.cacheArcs);
-    directoryArcs.merge(other.directoryArcs);
-    memory.merge(other.memory);
-}
 
 SweepEngine::SweepEngine(ThreadPool &pool, TraceProvider provider)
     : pool_(pool), provider_(std::move(provider))
@@ -86,23 +84,23 @@ SweepEngine::replayTrace(const trace::Trace &t, const ReplayJob &job,
         return extract(bank);
     }
 
-    const auto parts = shardByBlock(t, shards);
-    std::vector<ReplayResult> partial(parts.size());
-    pool_.parallelFor(parts.size(), [&](std::size_t s) {
-        COSMOS_SPAN_ARGS("replay", "shard", "index", s, "records",
-                         parts[s].records.size());
-        pred::PredictorBank bank(t.numNodes, job.config);
-        bank.reserveFromCensus(
-            trace::moduleBlockCensus(parts[s].records, t.numNodes));
-        bank.replayBatched(parts[s].records, job.maxIteration);
-        partial[s] = extract(bank);
-    });
-
-    // Deterministic reduction: fold in shard-index order.
-    ReplayResult merged = std::move(partial.front());
-    for (std::size_t s = 1; s < partial.size(); ++s)
-        merged.merge(partial[s]);
-    return merged;
+    // Stage each chunk by block shard, then apply the shards
+    // concurrently. Shard banks keep their state across chunks, so
+    // every block still sees its records in trace order.
+    pred::ShardedPredictorBank bank(t.numNodes, job.config, shards);
+    bank.reserveFromCensus(trace::moduleBlockCensus(t));
+    const std::size_t n = t.records.size();
+    for (std::size_t i = 0; i < n; i += chunk_records) {
+        bank.stageChunk(t.records.data() + i,
+                        std::min(chunk_records, n - i));
+        pool_.parallelFor(shards, [&](std::size_t i_shard) {
+            const auto s = static_cast<unsigned>(i_shard);
+            COSMOS_SPAN_ARGS("replay", "shard", "index", s, "records",
+                             bank.stagedRecords(s));
+            bank.applyShard(s, job.maxIteration);
+        });
+    }
+    return extract(bank);
 }
 
 } // namespace cosmos::replay

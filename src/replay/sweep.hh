@@ -8,14 +8,15 @@
  * per-block, so the engine parallelizes on two axes:
  *
  *  - across ReplayJobs: every grid cell runs as its own pool task;
- *  - within a job: when cells are scarcer than workers, the trace is
- *    block-sharded (replay/sharding.hh) and the shards replay through
- *    separate PredictorBanks whose statistics are then merged in
- *    shard-index order.
+ *  - within a job: when cells are scarcer than workers, the job
+ *    replays through one pred::ShardedPredictorBank. The trace is fed
+ *    in 64k-record chunks; each chunk is staged by block shard
+ *    (common/addr.hh blockShardOf) and the shards apply concurrently
+ *    on the pool.
  *
- * All statistics are integer counters merged by addition, so sweep
- * results are bit-identical to a serial replay regardless of thread
- * or shard count.
+ * All statistics are integer counters, and the sharded bank folds
+ * them in shard-index order, so sweep results are bit-identical to a
+ * serial replay regardless of thread or shard count.
  */
 
 #ifndef COSMOS_REPLAY_SWEEP_HH
@@ -60,14 +61,6 @@ struct ReplayResult
     pred::ArcStats cacheArcs;
     pred::ArcStats directoryArcs;
     pred::MemoryStats memory;
-
-    /**
-     * Fold another (block-disjoint) partial result into this one.
-     * Addition of integer counters: associative, and commutative up
-     * to iteration-vector sizing -- the engine still merges in shard
-     * index order so the reduction is wholly deterministic.
-     */
-    void merge(const ReplayResult &other);
 };
 
 /** Maps a job to the trace it replays (must outlive the sweep). */
@@ -92,8 +85,8 @@ class SweepEngine
 
     /**
      * Replay one job over an already-fetched trace. With shards > 1
-     * (explicit, or chosen by the engine when @p default_shards is
-     * passed as 0), the replay is block-sharded across the pool.
+     * (job.shards, else @p default_shards; capped at records / 64k
+     * + 1), the chunks apply block-sharded across the pool.
      */
     ReplayResult replayTrace(const trace::Trace &t, const ReplayJob &job,
                              unsigned default_shards = 1);

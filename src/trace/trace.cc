@@ -56,29 +56,6 @@ moduleBlockCensus(const Trace &t)
     return census;
 }
 
-std::vector<std::uint32_t>
-moduleBlockCensus(const std::vector<const TraceRecord *> &records,
-                  NodeId num_nodes)
-{
-    std::vector<std::uint32_t> census(2u * num_nodes, 0);
-    FlatMap<std::uint64_t, bool> seen;
-    seen.reserve(records.size() / 8 + 8);
-    for (const TraceRecord *r : records) {
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(r->receiver) << 48) |
-            (static_cast<std::uint64_t>(
-                 r->role == proto::Role::directory ? 1 : 0)
-             << 40) |
-            r->block;
-        if (seen.find(key) == nullptr) {
-            seen.insert(key, true);
-            ++census[2u * r->receiver +
-                     (r->role == proto::Role::directory ? 1 : 0)];
-        }
-    }
-    return census;
-}
-
 TraceRecorder::TraceRecorder(Trace &out, std::int32_t warmup_iterations)
     : out_(out), warmup_(warmup_iterations)
 {

@@ -66,12 +66,6 @@ struct Trace
  */
 std::vector<std::uint32_t> moduleBlockCensus(const Trace &t);
 
-/** The same census over a pre-selected record slice (e.g. one block
- *  shard), so sharded replays can pre-size their banks too. */
-std::vector<std::uint32_t>
-moduleBlockCensus(const std::vector<const TraceRecord *> &records,
-                  NodeId num_nodes);
-
 /**
  * Machine observer that appends records to a Trace.
  *

@@ -3,15 +3,15 @@
  * Tests of the batched/sharded/streaming replay pipeline.
  *
  * The whole pipeline (cosmos/batch.hh staging, the grouped counting
- * sort, the probe/apply passes, the sharded bank, and the chunked
- * stream replay) claims one property everywhere: every Table 5/6/8
- * counter is *bit-identical* to a plain scalar record-order replay.
- * This suite checks that claim against every axis the pipeline can
- * vary -- predictor configuration, batch tunables (including
- * degenerate ones), iteration prefixes, shard counts, chunk sizes --
- * plus the supporting guarantees: census reservation really prevents
- * rehashes, the traffic record sink matches materialization, and the
- * message-stream lowering is chunking-independent.
+ * sort, the probe/apply passes, the sharded bank, and the simulator's
+ * chunked record sink feeding it) claims one property everywhere:
+ * every Table 5/6/8 counter is *bit-identical* to a plain scalar
+ * record-order replay. This suite checks that claim against every
+ * axis the pipeline can vary -- predictor configuration, batch
+ * tunables (including degenerate ones), iteration prefixes, shard
+ * counts, chunk sizes -- plus the supporting guarantees: census
+ * reservation really prevents rehashes, and the traffic record sink
+ * matches materialization.
  */
 
 #include <gtest/gtest.h>
@@ -24,13 +24,10 @@
 #include "cosmos/predictor_bank.hh"
 #include "cosmos/sharded_bank.hh"
 #include "cosmos/variants.hh"
-#include "forge/msg_stream.hh"
 #include "forge/synth.hh"
 #include "harness/trace_cache.hh"
 #include "harness/traffic.hh"
-#include "replay/stream.hh"
 #include "replay/thread_pool.hh"
-#include "trace/record_source.hh"
 
 namespace cosmos
 {
@@ -163,22 +160,6 @@ TEST(BatchedReplay, BitIdenticalOnIterationPrefixes)
     }
 }
 
-TEST(BatchedReplay, PointerSliceOverloadMatchesScalar)
-{
-    const auto &t = harness::cachedTrace("dsmc");
-    std::vector<const trace::TraceRecord *> refs;
-    refs.reserve(t.records.size());
-    for (const auto &r : t.records)
-        refs.push_back(&r);
-
-    const CosmosConfig cfg{.depth = 2};
-    PredictorBank scalar(t.numNodes, cfg);
-    scalar.replay(refs);
-    PredictorBank batched(t.numNodes, cfg);
-    batched.replayBatched(refs);
-    EXPECT_EQ(snapshot(batched), snapshot(scalar));
-}
-
 TEST(BatchedReplay, NonCosmosBankFallsBackBitIdentically)
 {
     // Directed-baseline banks take the scalar path inside
@@ -238,34 +219,6 @@ TEST(ShardedBank, ConcurrentShardApplyMatchesSerial)
         });
     }
     EXPECT_EQ(snapshot(bank), scalarReference(t, cfg));
-}
-
-// ---------------------------------------------- streaming replay
-
-TEST(StreamingReplay, ChunkAndShardInvariance)
-{
-    const auto &t = harness::cachedTrace("dsmc");
-    const CosmosConfig cfg{.depth = 2};
-    const Counters want = scalarReference(t, cfg);
-    replay::ThreadPool pool(2);
-
-    for (const std::size_t chunk : {std::size_t{1024},
-                                    std::size_t{1} << 16}) {
-        for (const unsigned shards : {1u, 3u}) {
-            trace::TraceRecordSource src(t);
-            replay::StreamConfig sc;
-            sc.chunkRecords = chunk;
-            sc.shards = shards;
-            replay::StreamStats stats;
-            const auto res =
-                replay::replayStream(src, cfg, sc, pool, &stats);
-            EXPECT_EQ(stats.records, t.records.size());
-            EXPECT_EQ(snapshot(res.accuracy, res.cacheArcs,
-                               res.directoryArcs, res.memory),
-                      want)
-                << "chunk=" << chunk << " shards=" << shards;
-        }
-    }
 }
 
 // ------------------------------------------------ census reserve
@@ -351,81 +304,40 @@ TEST(TrafficSink, ChunkedSinkMatchesMaterializedTrace)
               materialized.trace.iterations);
 }
 
-// -------------------------------------------------- msg stream
-
-TEST(MsgStream, DeterministicAcrossPullChunkSizes)
+TEST(TrafficSink, ShardedStreamMatchesBatchedReplay)
 {
+    // The production streaming path: the simulator hands each
+    // chunk's records to a sink that feeds a 4-shard bank, and no
+    // trace is ever materialised. It must equal a batched replay of
+    // the materialised trace, and a few hundred rounds of recurring
+    // sharing on the real protocol must be learnable.
     forge::ForgeParams params;
     params.numProcs = 8;
     params.blocks = 64;
 
-    forge::MsgStreamConfig mc;
-    mc.maxRecords = 5000;
+    harness::TrafficConfig cfg;
+    cfg.machine.numNodes = params.numProcs;
+    cfg.maxIterations = 48;
+    cfg.opsPerIteration = 2048;
+    const CosmosConfig pc{.depth = 1};
 
-    const auto pull_all = [&](std::size_t chunk) {
-        forge::SynthSource synth(params);
-        forge::CoherenceMessageStream stream(synth, mc);
-        std::vector<trace::TraceRecord> all, buf;
-        while (stream.next(buf, chunk) != 0)
-            all.insert(all.end(), buf.begin(), buf.end());
-        return all;
+    forge::SynthSource materialized_src(params);
+    const auto materialized = runTraffic(cfg, materialized_src);
+    PredictorBank batched(materialized.trace.numNodes, pc);
+    batched.replayBatched(materialized.trace);
+
+    ShardedPredictorBank sharded(params.numProcs, pc, 4);
+    std::uint64_t streamed = 0;
+    cfg.recordSink = [&](const std::vector<trace::TraceRecord> &recs) {
+        sharded.observeChunk(recs.data(), recs.size());
+        streamed += recs.size();
     };
+    forge::SynthSource streamed_src(params);
+    runTraffic(cfg, streamed_src);
 
-    const auto a = pull_all(7);
-    const auto b = pull_all(4096);
-    EXPECT_EQ(a.size(), mc.maxRecords);
-    EXPECT_EQ(a, b);
-}
-
-TEST(MsgStream, RecordsAreWellFormed)
-{
-    forge::ForgeParams params;
-    params.numProcs = 8;
-    params.blocks = 64;
-    forge::SynthSource synth(params);
-
-    forge::MsgStreamConfig mc;
-    mc.maxRecords = 4000;
-    mc.accessesPerIteration = synth.accessesPerRound();
-    forge::CoherenceMessageStream stream(synth, mc);
-
-    std::vector<trace::TraceRecord> buf;
-    std::uint64_t seen = 0;
-    while (stream.next(buf, 512) != 0) {
-        for (const auto &r : buf) {
-            EXPECT_NE(r.sender, r.receiver);
-            EXPECT_LT(r.receiver, params.numProcs);
-            EXPECT_LT(r.sender, params.numProcs);
-            EXPECT_EQ(r.role, proto::receiverRole(r.type));
-            EXPECT_EQ(r.block % 64, 0u) << "block not aligned";
-            EXPECT_GE(r.iteration, 0);
-        }
-        seen += buf.size();
-    }
-    EXPECT_EQ(seen, mc.maxRecords);
-    EXPECT_EQ(stream.emitted(), mc.maxRecords);
-}
-
-TEST(MsgStream, TrainsThePredictorOnRecurringSharing)
-{
-    // A few hundred rounds over a small block set must produce
-    // learnable per-block message patterns -- if the lowering were
-    // emitting noise (or constant self-traffic), depth-1 Cosmos
-    // accuracy would sit near zero.
-    forge::ForgeParams params;
-    params.numProcs = 8;
-    params.blocks = 64;
-    forge::SynthSource synth(params);
-
-    forge::MsgStreamConfig mc;
-    mc.maxRecords = 100'000;
-    mc.accessesPerIteration = synth.accessesPerRound();
-    forge::CoherenceMessageStream stream(synth, mc);
-
-    replay::ThreadPool pool(1);
-    const auto res = replay::replayStream(
-        stream, CosmosConfig{.depth = 1}, {}, pool);
-    EXPECT_GT(res.accuracy.overall().percent(), 50.0);
+    EXPECT_EQ(streamed, materialized.trace.records.size());
+    EXPECT_EQ(snapshot(sharded), snapshot(batched));
+    EXPECT_GT(sharded.accuracy().overall().percent(), 50.0);
 }
 
 } // namespace

@@ -7,13 +7,15 @@
  * These were produced by the seed implementation (std::unordered_map
  * tables, vector MHRs) and pin the predictor's externally visible
  * behaviour bit-for-bit: any layout or hot-path change that alters a
- * single counter is a correctness regression, not noise. Both the
- * golden regression test suite (tests/golden_test.cc) and the
- * throughput bench (bench/bench_predictor_throughput.cc) assert
- * against these rows before reporting anything.
+ * single counter is a correctness regression, not noise. The golden
+ * regression suite (tests/golden_test.cc) checks serial replay and
+ * the sweep engine, default and 4-shard, against these rows, and
+ * the pipeline benchmark (perfbench/) gates its replay-grid cells on
+ * them at seed 0.
  *
- * Regenerate (only when the *model* intentionally changes) with
- * `bench_predictor_throughput --dump-goldens`.
+ * Regenerate only when the *model* intentionally changes: each
+ * drifting cell of golden_test prints its measured row in this
+ * file's syntax.
  */
 
 #ifndef COSMOS_TESTS_FIXTURES_GOLDEN_ACCURACY_HH

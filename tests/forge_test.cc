@@ -274,6 +274,19 @@ TEST(Score, CensusAgreesWithGroundTruthOnStaticRoles)
     EXPECT_EQ(blocks, p.blocks);
     EXPECT_EQ(score.total.overall().total, counted);
     EXPECT_LE(counted, records); // not every record is a lookup
+    // Prediction state is per block, so the per-class slices sum to
+    // one serial replay of the whole trace.
+    pred::PredictorBank serial(result.trace.numNodes,
+                               pred::CosmosConfig{2, 0});
+    serial.replay(result.trace);
+    const auto &want = serial.accuracy();
+    EXPECT_EQ(score.total.cacheSide().hits, want.cacheSide().hits);
+    EXPECT_EQ(score.total.cacheSide().total, want.cacheSide().total);
+    EXPECT_EQ(score.total.directorySide().hits,
+              want.directorySide().hits);
+    EXPECT_EQ(score.total.directorySide().total,
+              want.directorySide().total);
+    EXPECT_EQ(score.total.coldMisses(), want.coldMisses());
     // Heavily-shared classes must actually be predictable.
     const auto &mig = score.classes[static_cast<unsigned>(
         BlockClass::migratory)];

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests of the parallel replay subsystem: the work-stealing
- * ThreadPool, the block-sharding invariant, the deterministic stats
- * merges, and -- the core guarantee -- that sharded parallel replay
- * is bit-identical to serial replay for every workload and depth.
+ * ThreadPool, the block-sharding invariant of
+ * ShardedPredictorBank::stageChunk, the deterministic stats merges,
+ * and -- the core guarantee -- that sharded parallel replay is
+ * bit-identical to serial replay for every workload and depth.
  *
  * This suite is also the ThreadSanitizer target (scripts/ci.sh builds
  * it with -DCOSMOS_TSAN=ON), so the concurrency tests double as race
@@ -12,17 +13,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
-#include <set>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/addr.hh"
 #include "cosmos/predictor_bank.hh"
+#include "cosmos/sharded_bank.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
-#include "replay/sharding.hh"
 #include "replay/sweep.hh"
 #include "replay/thread_pool.hh"
 
@@ -156,35 +161,53 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnvironment)
 TEST(Sharding, BlocksNeverSplitAcrossShardsAndOrderIsKept)
 {
     const auto &trace = harness::cachedTrace("micro_rmw", 8);
-    const auto shards = replay::shardByBlock(trace, 4);
-    ASSERT_EQ(shards.size(), 4u);
+    constexpr unsigned k = 4;
+    const pred::CosmosConfig cfg{1, 0};
+    pred::ShardedPredictorBank bank(trace.numNodes, cfg, k);
+    // Reference: each shard's records fed one at a time, in trace
+    // order, through a bank of its own.
+    std::vector<std::unique_ptr<pred::PredictorBank>> ref;
+    for (unsigned s = 0; s < k; ++s)
+        ref.push_back(
+            std::make_unique<pred::PredictorBank>(trace.numNodes, cfg));
 
-    std::size_t total = 0;
-    std::set<Addr> seen_elsewhere;
-    for (unsigned s = 0; s < shards.size(); ++s) {
-        std::set<Addr> blocks_here;
-        Tick last = 0;
-        for (const auto *r : shards[s].records) {
-            EXPECT_EQ(replay::shardOfBlock(r->block, 4), s);
-            EXPECT_GE(r->when, last); // trace order preserved
-            last = r->when;
-            blocks_here.insert(r->block);
+    // Two chunks: staging replaces the previous chunk, and the shard
+    // banks carry their state from one chunk into the next.
+    const std::size_t half = trace.records.size() / 2;
+    for (const auto &[begin, end] :
+         {std::pair{std::size_t{0}, half},
+          std::pair{half, trace.records.size()}}) {
+        const trace::TraceRecord *chunk = trace.records.data() + begin;
+        bank.stageChunk(chunk, end - begin);
+        std::vector<std::size_t> want(k, 0);
+        for (std::size_t i = 0; i < end - begin; ++i) {
+            const unsigned s = blockShardOf(chunk[i].block, k);
+            ++want[s];
+            ref[s]->observe(chunk[i]);
         }
-        for (Addr b : blocks_here)
-            EXPECT_FALSE(seen_elsewhere.count(b));
-        seen_elsewhere.insert(blocks_here.begin(), blocks_here.end());
-        total += shards[s].records.size();
+        for (unsigned s = 0; s < k; ++s) {
+            EXPECT_EQ(bank.stagedRecords(s), want[s]) << "shard " << s;
+            bank.applyShard(s);
+        }
     }
-    EXPECT_EQ(total, trace.records.size());
+    for (unsigned s = 0; s < k; ++s) {
+        const auto &got = bank.shardBank(s).accuracy();
+        const auto &exp = ref[s]->accuracy();
+        EXPECT_EQ(got.overall().hits, exp.overall().hits) << s;
+        EXPECT_EQ(got.overall().total, exp.overall().total) << s;
+        EXPECT_EQ(got.coldMisses(), exp.coldMisses()) << s;
+    }
 }
 
 TEST(Sharding, ShardOfBlockIsStable)
 {
     for (Addr b = 0; b < 4096; b += 64)
-        for (unsigned k : {1u, 2u, 7u})
-            EXPECT_EQ(replay::shardOfBlock(b, k),
-                      replay::shardOfBlock(b, k));
-    EXPECT_EQ(replay::shardOfBlock(0x1234, 1), 0u);
+        for (unsigned k : {1u, 2u, 7u}) {
+            const unsigned s = blockShardOf(b, k);
+            EXPECT_LT(s, k);
+            EXPECT_EQ(blockShardOf(b, k), s);
+        }
+    EXPECT_EQ(blockShardOf(0x1234, 1), 0u);
 }
 
 // -------------------------------------------------------- stats merges
@@ -260,18 +283,44 @@ TEST(StatsMergeDeathTest, MemoryStatsMergeRejectsDepthMismatch)
 
 // --------------------------------------------------------- determinism
 
-/** Serial reference replay through one bank. */
+/** A bank's statistics as a sweep cell reports them. */
+template <class Bank>
 ReplayResult
-serialReplay(const trace::Trace &t, const pred::CosmosConfig &cfg)
+resultOf(const Bank &bank)
 {
-    pred::PredictorBank bank(t.numNodes, cfg);
-    bank.replay(t);
     ReplayResult r;
     r.accuracy = bank.accuracy();
     r.cacheArcs = bank.arcs(proto::Role::cache);
     r.directoryArcs = bank.arcs(proto::Role::directory);
     r.memory = bank.memoryStats();
     return r;
+}
+
+/** Serial reference replay through one bank (the scalar oracle). */
+ReplayResult
+serialReplay(const trace::Trace &t, const pred::CosmosConfig &cfg,
+             std::int32_t max_iteration = INT32_MAX)
+{
+    pred::PredictorBank bank(t.numNodes, cfg);
+    bank.replay(t, max_iteration);
+    return resultOf(bank);
+}
+
+/** Chunk-fed ShardedPredictorBank whose shards apply on @p pool. */
+ReplayResult
+shardedReplay(const trace::Trace &t, const pred::CosmosConfig &cfg,
+              unsigned shards, ThreadPool &pool)
+{
+    constexpr std::size_t chunk = 4096;
+    pred::ShardedPredictorBank bank(t.numNodes, cfg, shards);
+    for (std::size_t i = 0; i < t.records.size(); i += chunk) {
+        bank.stageChunk(t.records.data() + i,
+                        std::min(chunk, t.records.size() - i));
+        pool.parallelFor(shards, [&](std::size_t s) {
+            bank.applyShard(static_cast<unsigned>(s));
+        });
+    }
+    return resultOf(bank);
 }
 
 void
@@ -320,40 +369,37 @@ TEST(Determinism, ShardedReplayMatchesSerialForAllAppsAndDepths)
     // Short runs keep the suite fast; the invariant is iteration-
     // count independent (prediction state is purely per-block).
     ThreadPool pool(4);
-    SweepEngine engine(pool);
     for (const std::string app :
          {"appbt", "barnes", "dsmc", "moldyn", "unstructured"}) {
         const auto &trace = harness::cachedTrace(app, 6);
         for (unsigned depth = 1; depth <= 4; ++depth) {
             const pred::CosmosConfig cfg{depth, 0};
             const auto serial = serialReplay(trace, cfg);
-            ReplayJob job;
-            job.app = app;
-            job.config = cfg;
-            job.shards = 5;
-            // Sharding down-scales on tiny traces; force >1 shard by
-            // replaying through explicit shard counts.
-            for (unsigned shards : {2u, 5u}) {
-                const auto parts =
-                    replay::shardByBlock(trace, shards);
-                std::vector<ReplayResult> partial(parts.size());
-                pool.parallelFor(parts.size(), [&](std::size_t s) {
-                    pred::PredictorBank bank(trace.numNodes, cfg);
-                    bank.replay(parts[s].records);
-                    ReplayResult r;
-                    r.accuracy = bank.accuracy();
-                    r.cacheArcs = bank.arcs(proto::Role::cache);
-                    r.directoryArcs =
-                        bank.arcs(proto::Role::directory);
-                    r.memory = bank.memoryStats();
-                    partial[s] = r;
-                });
-                ReplayResult merged = partial.front();
-                for (std::size_t s = 1; s < partial.size(); ++s)
-                    merged.merge(partial[s]);
-                expectBitIdentical(serial, merged);
-            }
+            for (unsigned shards : {2u, 5u})
+                expectBitIdentical(
+                    serial, shardedReplay(trace, cfg, shards, pool));
         }
+    }
+}
+
+TEST(Determinism, SweepEngineShardsTheFullDsmcTrace)
+{
+    // The default dsmc trace is long enough for the engine to keep
+    // all four shards, so this runs the chunked sharded branch of
+    // replayTrace (and race-checks it in the ThreadSanitizer build).
+    ThreadPool pool(4);
+    SweepEngine engine(pool);
+    const auto &trace = harness::cachedTrace("dsmc");
+    ASSERT_GE(trace.records.size(), 3u * 65536);
+    for (const std::int32_t max_iteration : {INT32_MAX, 5}) {
+        ReplayJob job;
+        job.app = "dsmc";
+        job.config = pred::CosmosConfig{2, 0};
+        job.maxIteration = max_iteration;
+        job.shards = 4;
+        expectBitIdentical(
+            serialReplay(trace, job.config, max_iteration),
+            engine.replayTrace(trace, job));
     }
 }
 

@@ -394,7 +394,7 @@ printAnalysis(const trace::Trace &trace, unsigned depth,
 {
     pred::PredictorBank bank(trace.numNodes,
                              pred::CosmosConfig{depth, filter});
-    bank.replay(trace);
+    bank.replayBatched(trace);
     if (reg != nullptr)
         bank.publishMetrics(*reg);
     const auto &acc = bank.accuracy();
@@ -675,7 +675,7 @@ cmdFigures(const CliArgs &args)
     pred::PredictorBank bank(result.trace.numNodes,
                              pred::CosmosConfig{args.depth,
                                                 args.filter});
-    bank.replay(result.trace);
+    bank.replayBatched(result.trace);
     const std::string dir = args.out.empty() ? "." : args.out;
     for (const auto &path : harness::dumpSignatureDots(
              args.target, bank.arcs(proto::Role::cache),
