@@ -76,9 +76,10 @@ class MsgObserver
 /**
  * Protocol state of the whole machine at a quiescent point: one
  * snapshot per cache and per directory slice. Valid only when the
- * event queue is drained -- in-flight messages live as closures on
- * the queue and cannot be captured; the model checker (src/model)
- * keeps its message pool explicitly for exactly this reason.
+ * event queue is drained -- an in-flight message lives only inside
+ * the type-erased callable stored in an event-queue slot, which
+ * cannot be inspected or copied; the model checker (src/model) keeps
+ * its message pool explicitly for exactly this reason.
  */
 struct MachineSnapshot
 {
@@ -135,7 +136,7 @@ class Machine
     /**
      * Capture every controller's protocol state into @p out. Asserts
      * the machine is quiescent (no pending events): mid-flight
-     * messages are queue closures and would be silently lost.
+     * messages are event-queue callables and would be silently lost.
      */
     void snapshot(MachineSnapshot &out) const;
 

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -141,9 +144,9 @@ TEST(EventQueue, ReserveDoesNotAffectSemantics)
 
 TEST(EventQueue, HandlerMaySchedulePastItsOwnPop)
 {
-    // runOne() moves the callback out before popping, so a handler
-    // that schedules (possibly reallocating the heap) and then keeps
-    // using its own captures must be safe.
+    // The callable leaves its slot before the handler runs, so a
+    // handler that schedules (growing the heap and the slot pool) and
+    // then keeps using its own captures must be safe.
     EventQueue eq;
     std::vector<int> order;
     const std::vector<int> payload = {1, 2, 3};
@@ -159,6 +162,61 @@ TEST(EventQueue, HandlerMaySchedulePastItsOwnPop)
     EXPECT_EQ(eq.pending(), 64u);
     eq.run();
     EXPECT_EQ(eq.executed(), 65u);
+}
+
+TEST(EventQueue, NonTrivialCapturesSurviveSlotPoolGrowth)
+{
+    // A short std::string points into itself (small-string buffer),
+    // so these captures are only intact after the pool grows if
+    // growth relocates them by move rather than by copying bytes.
+    EventQueue eq;
+    std::vector<std::string> seen;
+    const std::string small = "sso";
+    const std::string large(64, 'x'); // heap-allocated buffer
+    std::function<void()> note = [&seen]() { seen.push_back("fn"); };
+    eq.scheduleAt(1000, [&seen, small]() { seen.push_back(small); });
+    eq.scheduleAt(1000, [&seen, large]() { seen.push_back(large); });
+    eq.scheduleAt(1001, std::move(note));
+    // Thousands of pending events grow the pool well past its first
+    // size, relocating the captures above several times.
+    for (int i = 0; i < 5000; ++i)
+        eq.scheduleAt(static_cast<Tick>(i % 900), []() {});
+    EXPECT_EQ(eq.pending(), 5003u);
+    EXPECT_EQ(eq.run(), 5003u);
+    EXPECT_EQ(seen, (std::vector<std::string>{small, large, "fn"}));
+}
+
+TEST(EventQueue, HandlerMayScheduleIntoTheSlotItJustFreed)
+{
+    // The only pending event's slot is free (top of the free list)
+    // while its handler runs, so the handler's own schedule reuses
+    // it. The handler's captures were moved out first and survive.
+    EventQueue eq;
+    std::vector<std::string> seen;
+    eq.scheduleAt(1, [&eq, &seen, mine = std::string(40, 'a')]() {
+        eq.scheduleAfter(1, [&seen, next = std::string(40, 'b')]() {
+            seen.push_back(next);
+        });
+        seen.push_back(mine);
+    });
+    EXPECT_EQ(eq.run(), 2u);
+    EXPECT_EQ(seen, (std::vector<std::string>{std::string(40, 'a'),
+                                              std::string(40, 'b')}));
+}
+
+TEST(EventQueue, PendingCapturesAreDestroyedWithTheQueue)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        eq.scheduleAt(1, [token]() {});
+        eq.scheduleAt(2, [token]() {});
+        EXPECT_EQ(token.use_count(), 3);
+        // A fired event destroys its capture; a pending one lives on.
+        EXPECT_TRUE(eq.runOne());
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace
