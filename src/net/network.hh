@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -58,7 +57,8 @@ class Network
     Network(sim::EventQueue &eq, NodeId num_nodes, Tick wire_latency,
             Tick ni_latency)
         : eq_(eq), numNodes_(num_nodes), wireLatency_(wire_latency),
-          niLatency_(ni_latency), handlers_(num_nodes)
+          niLatency_(ni_latency), handlers_(num_nodes),
+          lastArrival_(static_cast<std::size_t>(num_nodes) * num_nodes)
     {
     }
 
@@ -104,7 +104,9 @@ class Network
             arrive = eq_.now() + 2 * niLatency_ + wireLatency_;
             if (jitter_)
                 arrive += jitter_(src, dst, payload);
-            auto &last = lastArrival_[channelKey(src, dst)];
+            Tick &last =
+                lastArrival_[static_cast<std::size_t>(src) * numNodes_ +
+                             dst];
             arrive = std::max(arrive, last + 1);
             last = arrive;
             stats_.recordRemote(TrafficClass<Payload>::of(payload),
@@ -135,19 +137,15 @@ class Network
     Tick wireLatency() const { return wireLatency_; }
 
   private:
-    static std::uint32_t
-    channelKey(NodeId src, NodeId dst)
-    {
-        return (static_cast<std::uint32_t>(src) << 16) | dst;
-    }
-
     sim::EventQueue &eq_;
     NodeId numNodes_;
     Tick wireLatency_;
     Tick niLatency_;
     std::vector<Handler> handlers_;
     JitterFn jitter_;
-    std::unordered_map<std::uint32_t, Tick> lastArrival_;
+    /** Latest arrival per (src, dst) channel, row-major by src: the
+     *  FIFO clamp. Zero means the channel has carried nothing. */
+    std::vector<Tick> lastArrival_;
     NetworkStats stats_;
 };
 
