@@ -18,7 +18,7 @@ OnlineAccelerator::confidence(NodeId dir, Addr block)
 {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(dir) << 48) | block;
-    return confidence_[key];
+    return confidence_.obtain(key);
 }
 
 bool
@@ -45,9 +45,10 @@ OnlineAccelerator::onMessage(const proto::Msg &m, proto::Role role,
     r.role = role;
     r.iteration = iteration;
 
-    if (role == proto::Role::directory) {
+    if (role == proto::Role::directory && options_.minConfidence > 0) {
         // Track the block's recent streak before folding the message
-        // into the predictor.
+        // into the predictor; only confident() reads it, and only
+        // when a minimum is set.
         const auto before =
             bank_.predictor(m.dst, role).predict(m.block);
         std::uint8_t &conf = confidence(m.dst, m.block);

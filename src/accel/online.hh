@@ -25,8 +25,8 @@
 #define COSMOS_ACCEL_ONLINE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "common/flat_map.hh"
 #include "cosmos/predictor_bank.hh"
 #include "proto/machine.hh"
 
@@ -101,7 +101,9 @@ class OnlineAccelerator : public proto::MsgObserver,
     const pred::PredictorBank &bank() const { return bank_; }
 
   private:
-    /** Recent per-(directory, block) prediction streak length. */
+    /** Recent per-(directory, block) prediction streak length, kept
+     *  only when OnlineOptions::minConfidence > 0 (nothing else reads
+     *  it). */
     std::uint8_t &confidence(NodeId dir, Addr block);
     bool confident(NodeId dir, Addr block);
 
@@ -109,7 +111,7 @@ class OnlineAccelerator : public proto::MsgObserver,
     OnlineOptions options_;
     pred::PredictorBank bank_;
     OnlineStats stats_;
-    std::unordered_map<std::uint64_t, std::uint8_t> confidence_;
+    FlatMap<std::uint64_t, std::uint8_t> confidence_;
 };
 
 } // namespace cosmos::accel
