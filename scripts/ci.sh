@@ -287,19 +287,25 @@ start=$(now_ms)
 echo "== tsan replay/trace-cache/sharded-bank suites" \
      "($(($(now_ms) - start)) ms)"
 
-# AddressSanitizer + UBSan pass over the protocol, checker, and model
-# suites: the model checker snapshots/restores live controllers
-# thousands of times per run, which is exactly where lifetime and
-# aliasing bugs would hide. -fno-sanitize-recover makes any report
+# AddressSanitizer + UBSan pass over the simulator, protocol, checker,
+# and model suites: the model checker snapshots/restores live
+# controllers thousands of times per run, the event queue
+# placement-news, relocates and destroys callables by hand, and
+# FlatMap moves controller state on insert -- exactly where lifetime
+# and aliasing bugs would hide. -fno-sanitize-recover makes any report
 # fatal, so a passing run is a clean run.
+asan_suites="sim_test net_test machine_test runtime_test online_test
+             proto_test check_test model_test"
 # shellcheck disable=SC2046
 cmake -B build-asan $(gen_for build-asan) -DCOSMOS_ASAN=ON
-cmake --build build-asan --target proto_test check_test model_test
+# shellcheck disable=SC2086
+cmake --build build-asan --target $asan_suites
 start=$(now_ms)
-./build-asan/tests/proto_test
-./build-asan/tests/check_test
-./build-asan/tests/model_test
-echo "== asan proto/check/model suites ($(($(now_ms) - start)) ms)"
+for suite in $asan_suites; do
+    "./build-asan/tests/$suite"
+done
+echo "== asan sim/net/machine/runtime/online/proto/check/model suites" \
+     "($(($(now_ms) - start)) ms)"
 
 # Static lint over the sources that host invariants (src/model,
 # src/check, src/lint, src/proto): clang-tidy reads the compilation
