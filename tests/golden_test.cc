@@ -6,7 +6,8 @@
  * GoldenSim cases pin the simulator underneath the same way
  * (fixtures/golden_sim.hh): trace digests, event counts and
  * simulated times of the kernels, plain and accelerated, one
- * evicting forge run and the delivered total of CI's fuzz campaign.
+ * evicting forge run, the delivered total of CI's fuzz campaign and
+ * a digest of its planted-bug campaign's reports.
  *
  * The fixture was captured from the seed implementation before the
  * predictor's data layout was flattened (packed MHRs, open-addressing
@@ -122,26 +123,45 @@ TEST(GoldenAccuracy, FixtureCoversTheFullGrid)
     EXPECT_EQ(fixtures::num_golden_accuracy_rows, 40u);
 }
 
+/** FNV-1a folding whole 64-bit words (and, for text, single bytes). */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    mix(std::uint64_t v)
+    {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    }
+
+    /** The length, then every byte, so adjacent strings cannot
+     *  trade characters. */
+    void
+    mix(const std::string &s)
+    {
+        mix(s.size());
+        for (const char c : s)
+            mix(static_cast<unsigned char>(c));
+    }
+};
+
 /** FNV-1a over the 64-bit words of every record -- the trace digest
  *  perfbench prints, so the two can be compared by eye. */
 std::uint64_t
 traceDigest(const trace::Trace &t)
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-    };
+    Fnv1a f;
     for (const trace::TraceRecord &r : t.records) {
-        mix(r.block);
-        mix(r.when);
-        mix(r.receiver);
-        mix(r.sender);
-        mix(static_cast<std::uint64_t>(r.type));
-        mix(static_cast<std::uint64_t>(r.role));
-        mix(static_cast<std::uint32_t>(r.iteration));
+        f.mix(r.block);
+        f.mix(r.when);
+        f.mix(r.receiver);
+        f.mix(r.sender);
+        f.mix(static_cast<std::uint64_t>(r.type));
+        f.mix(static_cast<std::uint64_t>(r.role));
+        f.mix(static_cast<std::uint32_t>(r.iteration));
     }
-    return h;
+    return f.h;
 }
 
 std::string
@@ -233,6 +253,30 @@ TEST(GoldenSimFuzz, CampaignDeliversThePinnedTotal)
     }
     EXPECT_EQ(delivered, fixtures::golden_fuzz_delivered)
         << "measured: golden_fuzz_delivered = " << delivered << "u";
+}
+
+TEST(GoldenSimFuzz, PlantedBugCampaignReportsMatchDigest)
+{
+    // CI's planted-bug stage (`cosmos fuzz --seeds 5 --seed 1
+    // --inject-ignore-inval 2`), shrinking on.
+    check::FuzzOptions opts;
+    opts.numSeeds = 5;
+    opts.baseSeed = 1;
+    opts.ignoreInvalEvery = 2;
+    opts.shrink = true;
+    const check::FuzzReport report = check::fuzz(opts);
+    ASSERT_FALSE(report.clean()) << "the planted bug must be caught";
+
+    Fnv1a f;
+    for (const check::Failure &fail : report.failures) {
+        f.mix(fail.result.seed);
+        f.mix(fail.result.delivered);
+        f.mix(fail.shrunkOps);
+        for (const check::Violation &v : fail.result.violations)
+            f.mix(v.format());
+    }
+    EXPECT_EQ(f.h, fixtures::golden_fuzz_planted_digest)
+        << "measured: golden_fuzz_planted_digest = " << hex(f.h);
 }
 
 } // namespace
