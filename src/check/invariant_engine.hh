@@ -20,17 +20,17 @@
  *    outstanding for longer than a bounded pending window.
  *
  * Violations are recorded as structured check::Violation values
- * carrying the block, the implicated nodes, the states seen, and a
- * ring buffer of the last-k delivered messages -- the same
- * ring-buffer discipline the obs tracing layer uses -- rather than
- * aborting the process. Assertion failures inside the protocol are
- * folded in through the common/log FailureTrap.
+ * carrying the block, the implicated nodes, the states seen, and the
+ * last-k delivered messages -- kept raw in a fixed ring, the same
+ * ring-buffer discipline the obs tracing layer uses, and rendered to
+ * text only when a violation is recorded -- rather than aborting the
+ * process. Assertion failures inside the protocol are folded in
+ * through the common/log FailureTrap.
  */
 
 #ifndef COSMOS_CHECK_INVARIANT_ENGINE_HH
 #define COSMOS_CHECK_INVARIANT_ENGINE_HH
 
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -105,11 +105,25 @@ class InvariantEngine
     void checkBlock(Addr block, Tick when);
     void scanPendingWindows(Tick when);
     void report(Violation v);
+    /** The ring's deliveries as "t=<tick> <Msg::format()>" lines,
+     *  oldest first. */
     std::vector<std::string> historySnapshot() const;
 
     proto::Machine &machine_;
     CheckOptions opts_;
-    std::deque<std::string> history_;
+
+    /** One delivered message, kept raw until a report renders it. */
+    struct Delivery
+    {
+        Tick when = 0;
+        proto::Msg msg;
+    };
+
+    /** The last historyDepth deliveries, in a ring sized once. */
+    std::vector<Delivery> history_;
+    /** The ring slot the next delivery overwrites: the oldest entry
+     *  once the ring is full. */
+    std::size_t historyNext_ = 0;
 
     /** Request/response bookkeeping for one block. */
     struct Flight
