@@ -79,8 +79,9 @@
  *   --seeds N        number of fuzz cases (default 100)
  *   --seed S         first seed of the campaign
  *   --replay S       re-run exactly one seed (and shrink if it fails)
- *   --nodes N        nodes per fuzz machine (default 4)
- *   --blocks N       contended blocks (default 8)
+ *   --nodes N        nodes per fuzz machine, 1..64 (default 4;
+ *                    at least 2 with --forge-mix above 0)
+ *   --blocks N       contended blocks, at least 1 (default 8)
  *   --ops N          random ops per node (default 64)
  *   --jitter T       max extra delivery delay in ticks (default 64)
  *   --forge-mix F    probability in [0,1] that a case's workload is
@@ -742,6 +743,30 @@ cmdAccel(const CliArgs &args)
     return 0;
 }
 
+/**
+ * Why the fuzz flags in @p args cannot build a case, or "" when they
+ * can. Checked before any case runs, so a bad value is reported by
+ * its flag instead of by the assertion deep inside a case it trips.
+ */
+std::string
+fuzzFlagError(const CliArgs &args)
+{
+    if (!(args.forgeMix >= 0.0 && args.forgeMix <= 1.0))
+        return "--forge-mix must be in [0, 1], got " +
+               std::to_string(args.forgeMix);
+    // The directory's full-map sharer mask holds 64 nodes; forge
+    // traffic needs a second processor to share with.
+    const bool forge = args.forgeMix > 0.0;
+    const unsigned minNodes = forge ? 2 : 1;
+    if (args.fuzzNodes < minNodes || args.fuzzNodes > 64)
+        return "--nodes must be in [" + std::to_string(minNodes) +
+               ", 64]" + (forge ? " with --forge-mix above 0" : "") +
+               ", got " + std::to_string(args.fuzzNodes);
+    if (args.fuzzBlocks < 1)
+        return "--blocks must be at least 1, got 0";
+    return {};
+}
+
 check::FuzzOptions
 makeFuzzOptions(const CliArgs &args)
 {
@@ -888,6 +913,10 @@ cmdFuzz(const CliArgs &args)
     if (!args.replayModel.empty())
         return replayModelCounterexample(args);
 
+    if (const std::string err = fuzzFlagError(args); !err.empty()) {
+        std::fprintf(stderr, "cosmos fuzz: %s\n", err.c_str());
+        return 2;
+    }
     const check::FuzzOptions opts = makeFuzzOptions(args);
 
     check::FuzzReport report;
