@@ -16,7 +16,9 @@ Schemas:
                   campaign counters, a "clean" verdict consistent with
                   the failure list, and per-failure violations each
                   carrying kind/block/when/nodes/detail/history plus
-                  a shrunk reproducer no larger than the original
+                  a shrunk reproducer no larger than the original;
+                  every history entry is a "t=<tick> <message>" line
+                  and the ticks never decrease from oldest to newest
     model         a cosmos-model-v1 document from `cosmos model
                   --out`: exploration counters, a "clean" verdict
                   consistent with the violation list and completeness,
@@ -48,6 +50,7 @@ slots directly into scripts/ci.sh.
 
 import argparse
 import json
+import re
 import sys
 
 METRIC_KINDS = {
@@ -117,6 +120,31 @@ VIOLATION_KEYS = {"kind", "block", "when", "nodes", "detail",
 FAILURE_KEYS = {"seed", "delivered", "original_ops", "shrunk_ops",
                 "suppressed", "violations", "reproducer"}
 
+# One delivered message of a violation's history, as the invariant
+# engine renders it: "t=<tick> <type> <src>-><dst> block=0x<hex>",
+# plus " for=<requester>" when a request is made on another's behalf.
+HISTORY_LINE = re.compile(
+    r"t=(\d+) [a-z_]+ \d+->\d+ block=0x[0-9a-f]+( for=\d+)?", re.ASCII)
+
+
+def check_history(history):
+    """A violation's message history: rendered lines, oldest first,
+    so a ring rendered in the wrong order or rotated at the wrong
+    index shows as a tick that goes backwards."""
+    if not isinstance(history, list):
+        return "is not a list"
+    last = 0
+    for k, line in enumerate(history):
+        m = HISTORY_LINE.fullmatch(line) if isinstance(line, str) else None
+        if m is None:
+            return f"entry {k} is not a message line: {line!r}"
+        tick = int(m.group(1))
+        if tick < last:
+            return (f"entry {k} (t={tick}) is older than the entry "
+                    f"before it (t={last})")
+        last = tick
+    return None
+
 
 def check_fuzz(doc):
     if not isinstance(doc, dict):
@@ -156,6 +184,9 @@ def check_fuzz(doc):
                         f"kind {v['kind']!r}")
             if not isinstance(v["nodes"], list):
                 return f"failure {i} violation {j} nodes not a list"
+            err = check_history(v["history"])
+            if err:
+                return f"failure {i} violation {j} history {err}"
     return None
 
 
