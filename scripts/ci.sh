@@ -165,6 +165,50 @@ grep -q 'legacy_forwarding=1' artifacts/legacy_counterexample.txt
 echo "== forwarding model-check OK (78/883/276396-state closures" \
      "clean, legacy race caught)"
 
+# Parallel model checking: workers expand each BFS batch and one
+# thread merges their candidates in serial order, so every artifact
+# must be byte-identical to a one-thread run -- a clean closure, the
+# planted bug and the legacy race, counterexamples included.
+./build/tools/cosmos model --forwarding --nodes 3 --blocks 2 --threads 1 \
+    --out artifacts/model_3n2b_fwd_serial.json > /dev/null
+cmp artifacts/model_3n2b_fwd.json artifacts/model_3n2b_fwd_serial.json
+if ./build/tools/cosmos model --inject-ignore-inval 1 --threads 1 \
+    --out artifacts/model_planted_bug_serial.json \
+    --counterexample-out artifacts/model_counterexample_serial.txt \
+    > /dev/null; then
+    echo "model smoke: planted protocol bug was NOT caught serially" >&2
+    exit 1
+fi
+cmp artifacts/model_planted_bug.json artifacts/model_planted_bug_serial.json
+cmp artifacts/model_counterexample.txt \
+    artifacts/model_counterexample_serial.txt
+if ./build/tools/cosmos model --forwarding --legacy-forwarding \
+    --nodes 3 --threads 1 --out artifacts/model_legacy_fwd_serial.json \
+    --counterexample-out artifacts/legacy_counterexample_serial.txt \
+    > /dev/null; then
+    echo "model smoke: the legacy forwarding race was NOT caught" \
+         "serially" >&2
+    exit 1
+fi
+cmp artifacts/model_legacy_fwd.json artifacts/model_legacy_fwd_serial.json
+cmp artifacts/legacy_counterexample.txt \
+    artifacts/legacy_counterexample_serial.txt
+echo "== model-check thread independence OK (3 legs byte-identical" \
+     "at --threads 1)"
+
+# The 4-node 2-block closure, pinned: 1,789,502 states and 7,075,622
+# transitions, clean and consistent. (The 4n2b --forwarding closure,
+# 11,341,353 states, stays out of CI; EXPERIMENTS.md times it.)
+start=$(now_ms)
+./build/tools/cosmos model --nodes 4 --blocks 2 --max-states 2000000 \
+    --out artifacts/model_4n2b.json > /dev/null
+echo "== 4n2b model closure ($(($(now_ms) - start)) ms)"
+python3 scripts/check_json.py --schema model artifacts/model_4n2b.json
+grep -q '"states": 1789502,' artifacts/model_4n2b.json
+grep -q '"transitions": 7075622,' artifacts/model_4n2b.json
+grep -q '"consistent": true' artifacts/model_4n2b.json
+grep -q '"clean": true' artifacts/model_4n2b.json
+
 # Static protocol lint: the declared transition table -- the single
 # source of truth the controllers dispatch through -- must analyze
 # clean under every shipped variant (completeness, determinism,
@@ -276,15 +320,20 @@ echo "== artifact: artifacts/perfbench_replay_grid.txt"
 # race-free, and so must the sharded predictor bank's two-phase
 # stageChunk/applyShard pipeline (workers apply disjoint shards of
 # one staged chunk concurrently) -- both directly and through
-# SweepEngine::replayTrace on the full dsmc trace.
+# SweepEngine::replayTrace on the full dsmc trace -- and the model
+# checker's workers, which step their own controllers while reading
+# the shared visited set.
 # shellcheck disable=SC2046
 cmake -B build-tsan $(gen_for build-tsan) -DCOSMOS_TSAN=ON
-cmake --build build-tsan --target replay_test harness_test batch_test
+cmake --build build-tsan --target replay_test harness_test batch_test \
+    model_test
 start=$(now_ms)
 ./build-tsan/tests/replay_test
 ./build-tsan/tests/harness_test --gtest_filter='TraceCache.*'
 ./build-tsan/tests/batch_test --gtest_filter='ShardedBank.*'
-echo "== tsan replay/trace-cache/sharded-bank suites" \
+./build-tsan/tests/model_test \
+    --gtest_filter='Explore.ThreadCountDoesNotChangeResults:Stepper.ReusedStepperMatchesFreshOne'
+echo "== tsan replay/trace-cache/sharded-bank/model-explorer suites" \
      "($(($(now_ms) - start)) ms)"
 
 # AddressSanitizer + UBSan pass over the simulator, protocol, checker,

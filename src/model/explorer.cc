@@ -1,14 +1,20 @@
 #include "model/explorer.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <deque>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <optional>
+#include <thread>
 
 #include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/log.hh"
 #include "model/stepper.hh"
+#include "replay/thread_pool.hh"
 
 namespace cosmos::model
 {
@@ -51,26 +57,22 @@ class VisitedSet
     /** @return (state id, true) on first insertion, (existing id,
      *  false) on a revisit. */
     std::pair<std::uint32_t, bool>
-    insert(const std::vector<std::uint8_t> &enc)
+    insert(const std::uint8_t *enc, std::size_t len, std::uint64_t h)
     {
-        const std::uint64_t h = fnv1a(enc.data(), enc.size());
         std::uint32_t *head = map_.find(h);
         if (head) {
             for (std::uint32_t id = *head; id != no_state;
                  id = recs_[id].nextSameHash) {
                 const StateRec &r = recs_[id];
-                if (r.len == enc.size() &&
-                    std::equal(enc.begin(), enc.end(), r.enc)) {
+                if (r.len == len && std::equal(enc, enc + len, r.enc))
                     return {id, false};
-                }
             }
         }
-        auto *mem = static_cast<std::uint8_t *>(
-            arena_.allocate(enc.size(), 1));
-        std::copy(enc.begin(), enc.end(), mem);
+        auto *mem = static_cast<std::uint8_t *>(arena_.allocate(len, 1));
+        std::copy(enc, enc + len, mem);
         StateRec r;
         r.enc = mem;
-        r.len = static_cast<std::uint32_t>(enc.size());
+        r.len = static_cast<std::uint32_t>(len);
         const auto id = static_cast<std::uint32_t>(recs_.size());
         if (head) {
             // Chain onto the existing hash bucket; no map insertion,
@@ -84,6 +86,9 @@ class VisitedSet
         return {id, true};
     }
 
+    /** Start loading the hash bucket an insert of @p h will probe. */
+    void prefetch(std::uint64_t h) const { map_.prefetchFind(h); }
+
     StateRec &rec(std::uint32_t id) { return recs_[id]; }
     std::size_t size() const { return recs_.size(); }
 
@@ -93,23 +98,44 @@ class VisitedSet
     std::vector<StateRec> recs_;
 };
 
+/** The nodes of @p mask, ascending. */
+std::vector<NodeId>
+nodesOf(std::uint8_t mask)
+{
+    std::vector<NodeId> nodes;
+    for (unsigned n = 0; n < max_nodes; ++n)
+        if (mask & (1u << n))
+            nodes.push_back(static_cast<NodeId>(n));
+    return nodes;
+}
+
+/** The nodes of @p writers, then those of @p readers. */
+std::vector<NodeId>
+writersThenReaders(std::uint8_t writers, std::uint8_t readers)
+{
+    std::vector<NodeId> nodes = nodesOf(writers);
+    const std::vector<NodeId> r = nodesOf(readers);
+    nodes.insert(nodes.end(), r.begin(), r.end());
+    return nodes;
+}
+
 /** First safety violation of @p s, if any (fixed check order keeps
  *  reports deterministic). Mirrors check::InvariantEngine's rules on
- *  the model's explicit state. */
+ *  the model's explicit state. Allocates only to report. */
 std::optional<check::Violation>
 checkState(const GlobalState &s, const ModelConfig &mc)
 {
     for (unsigned b = 0; b < mc.numBlocks; ++b) {
-        std::vector<NodeId> writers;
-        std::vector<NodeId> readers;
+        std::uint8_t writers = 0;
+        std::uint8_t readers = 0;
         bool transient = false;
         for (unsigned n = 0; n < mc.numNodes; ++n) {
             switch (static_cast<proto::LineState>(s.line[n][b])) {
               case proto::LineState::read_write:
-                writers.push_back(static_cast<NodeId>(n));
+                writers |= static_cast<std::uint8_t>(1u << n);
                 break;
               case proto::LineState::read_only:
-                readers.push_back(static_cast<NodeId>(n));
+                readers |= static_cast<std::uint8_t>(1u << n);
                 break;
               case proto::LineState::invalid:
                 break;
@@ -118,28 +144,28 @@ checkState(const GlobalState &s, const ModelConfig &mc)
                 break;
             }
         }
+        const unsigned numWriters = std::popcount(writers);
+        const unsigned numReaders = std::popcount(readers);
 
-        if (writers.size() > 1) {
+        if (numWriters > 1) {
             check::Violation v;
             v.kind = check::ViolationKind::multiple_writers;
             v.block = mc.blockAddr(b);
-            v.nodes = writers;
+            v.nodes = nodesOf(writers);
             v.detail = detail::concat(
-                "block ", b, " is cached read_write at ",
-                writers.size(), " nodes simultaneously");
+                "block ", b, " is cached read_write at ", numWriters,
+                " nodes simultaneously");
             return v;
         }
-        if (writers.size() == 1 && !readers.empty()) {
+        if (numWriters == 1 && numReaders != 0) {
             check::Violation v;
             v.kind = check::ViolationKind::writer_and_readers;
             v.block = mc.blockAddr(b);
-            v.nodes = writers;
-            v.nodes.insert(v.nodes.end(), readers.begin(),
-                           readers.end());
+            v.nodes = writersThenReaders(writers, readers);
             v.detail = detail::concat(
                 "block ", b, " has a read_write copy at node ",
-                writers[0], " coexisting with ", readers.size(),
-                " read_only cop", readers.size() == 1 ? "y" : "ies");
+                v.nodes[0], " coexisting with ", numReaders,
+                " read_only cop", numReaders == 1 ? "y" : "ies");
             return v;
         }
 
@@ -164,29 +190,25 @@ checkState(const GlobalState &s, const ModelConfig &mc)
         if (inFlight)
             continue;
 
-        std::uint8_t roMask = 0;
-        for (NodeId n : readers)
-            roMask |= static_cast<std::uint8_t>(1u << n);
-
         std::string mismatch;
         switch (e.state) {
           case proto::DirState::idle:
-            if (!writers.empty() || !readers.empty())
+            if (writers != 0 || readers != 0)
                 mismatch = "entry is idle but cached copies exist";
             break;
           case proto::DirState::shared:
-            if (!writers.empty())
+            if (writers != 0)
                 mismatch = "entry is shared but a read_write copy "
                            "exists";
-            else if (e.sharers != roMask)
+            else if (e.sharers != readers)
                 mismatch = detail::concat(
                     "sharer bits ", unsigned{e.sharers},
                     " disagree with the read_only copies ",
-                    unsigned{roMask});
+                    unsigned{readers});
             break;
           case proto::DirState::exclusive:
-            if (writers.size() != 1 || e.owner != writers[0] ||
-                !readers.empty()) {
+            if (numWriters != 1 || e.owner >= max_nodes ||
+                writers != (1u << e.owner) || readers != 0) {
                 mismatch = detail::concat(
                     "entry is exclusive at node ", unsigned{e.owner},
                     " but the caches disagree");
@@ -197,9 +219,7 @@ checkState(const GlobalState &s, const ModelConfig &mc)
             check::Violation v;
             v.kind = check::ViolationKind::directory_mismatch;
             v.block = mc.blockAddr(b);
-            v.nodes = writers;
-            v.nodes.insert(v.nodes.end(), readers.begin(),
-                           readers.end());
+            v.nodes = writersThenReaders(writers, readers);
             v.detail = detail::concat("block ", b, ": ", mismatch);
             return v;
         }
@@ -218,7 +238,7 @@ checkState(const GlobalState &s, const ModelConfig &mc)
     if (networkEmpty) {
         for (unsigned b = 0; b < mc.numBlocks; ++b) {
             bool stuck = s.dir[b].busy;
-            std::vector<NodeId> waiting;
+            std::uint8_t waiting = 0;
             for (unsigned n = 0; n < mc.numNodes; ++n) {
                 const auto st =
                     static_cast<proto::LineState>(s.line[n][b]);
@@ -226,14 +246,14 @@ checkState(const GlobalState &s, const ModelConfig &mc)
                     st == proto::LineState::wait_rw ||
                     st == proto::LineState::wait_upg) {
                     stuck = true;
-                    waiting.push_back(static_cast<NodeId>(n));
+                    waiting |= static_cast<std::uint8_t>(1u << n);
                 }
             }
             if (stuck) {
                 check::Violation v;
                 v.kind = check::ViolationKind::liveness;
                 v.block = mc.blockAddr(b);
-                v.nodes = waiting;
+                v.nodes = nodesOf(waiting);
                 v.detail = detail::concat(
                     "deadlock: block ", b,
                     " has a transaction in progress but the network "
@@ -324,6 +344,143 @@ buildCounterexample(const ModelConfig &mc, Stepper &stepper,
     return ce;
 }
 
+/** States a batch takes from the head of the frontier. */
+constexpr std::size_t batch_states = 2048;
+/** States per chunk, the unit of work a worker claims. */
+constexpr std::size_t chunk_states = 64;
+/** Candidates the merge looks ahead when prefetching hash buckets. */
+constexpr std::size_t prefetch_ahead = 8;
+
+/** One step of a batch state, as a worker hands it to the merge. */
+struct Candidate
+{
+    Action action;
+    /** FNV-1a hash of the successor's canonical encoding. */
+    std::uint64_t hash = 0;
+    /** The encoding: bytes [encAt, encAt + encLen) of the chunk's. */
+    std::uint32_t encAt = 0;
+    std::uint32_t encLen = 0;
+    /** One past the step's last sample in the chunk's samples. */
+    std::uint32_t samplesEnd = 0;
+    /** Index into the chunk's verdicts, or -1: the trapped failure
+     *  when `failed`, else the successor's checkState violation. */
+    std::int32_t verdict = -1;
+    bool failed = false;
+};
+
+/** A worker's expansion of consecutive batch states. Cache-line
+ *  aligned: workers append to neighbouring chunks concurrently. */
+struct alignas(64) Chunk
+{
+    /** Per state: one past its last candidate. */
+    std::vector<std::uint32_t> stateEnd;
+    std::vector<Candidate> cands;
+    std::vector<std::uint8_t> bytes;
+    /** packSample keys of every step's samples, in step order. */
+    std::vector<std::uint64_t> samples;
+    std::vector<check::Violation> verdicts;
+};
+
+/** The fields of @p smp the extracted table keys on, packed into one
+ *  counting key (unpackSample inverts it; the row is not needed). */
+std::uint64_t
+packSample(const Sample &smp)
+{
+    cosmos_assert(smp.guard <= 0xFFFFu, "guard bits 0x", std::hex,
+                  smp.guard, " do not fit the sample key");
+    return std::uint64_t{smp.emissions} |
+           std::uint64_t{smp.guard} << 16 |
+           std::uint64_t{smp.post} << 32 |
+           std::uint64_t{smp.input} << 40 |
+           std::uint64_t{smp.pre} << 48 |
+           std::uint64_t{static_cast<std::uint8_t>(smp.module)} << 56;
+}
+
+Sample
+unpackSample(std::uint64_t key)
+{
+    Sample smp;
+    smp.emissions = static_cast<std::uint16_t>(key);
+    smp.guard = static_cast<proto::GuardBits>((key >> 16) & 0xFFFFu);
+    smp.post = static_cast<std::uint8_t>(key >> 32);
+    smp.input = static_cast<std::uint8_t>(key >> 40);
+    smp.pre = static_cast<std::uint8_t>(key >> 48);
+    smp.module = static_cast<Module>(key >> 56);
+    return smp;
+}
+
+/** One expanding thread's stepper and buffers (cache-line aligned:
+ *  workers write their own concurrently). */
+struct alignas(64) Worker
+{
+    explicit Worker(const ModelConfig &mc) : stepper(mc) {}
+
+    Stepper stepper;
+    GlobalState state;
+    std::vector<Action> actions;
+    std::vector<std::uint8_t> enc;
+    Stepper::Result result;
+};
+
+/** Where a batch state's encoding lives (arena bytes never move, so
+ *  workers read them while the merge inserts). */
+struct EncodedState
+{
+    const std::uint8_t *enc = nullptr;
+    std::uint32_t len = 0;
+};
+
+/**
+ * Expand the @p n batch states @p states into @p out: every enabled
+ * action stepped, its successor canonically encoded, hashed and
+ * checked.
+ */
+void
+expandChunk(Worker &w, const ModelConfig &mc, const EncodedState *states,
+            std::size_t n, Chunk &out)
+{
+    out.stateEnd.clear();
+    out.cands.clear();
+    out.bytes.clear();
+    out.samples.clear();
+    out.verdicts.clear();
+
+    Stepper::Result &r = w.result;
+    for (std::size_t i = 0; i < n; ++i) {
+        decodeState(states[i].enc, states[i].len, mc, w.state);
+        enumerateActions(w.state, mc, w.actions);
+        for (const Action &a : w.actions) {
+            w.stepper.step(w.state, a, r);
+            Candidate c;
+            c.action = a;
+            for (const Sample &smp : r.samples)
+                out.samples.push_back(packSample(smp));
+            c.samplesEnd = static_cast<std::uint32_t>(out.samples.size());
+            std::optional<check::Violation> verdict;
+            if (r.failed) {
+                c.failed = true;
+                verdict.emplace();
+                verdict->kind = check::ViolationKind::assertion;
+                verdict->detail = r.failureMsg;
+            } else {
+                canonicalEncoding(r.next, mc, w.enc);
+                c.hash = fnv1a(w.enc.data(), w.enc.size());
+                c.encAt = static_cast<std::uint32_t>(out.bytes.size());
+                c.encLen = static_cast<std::uint32_t>(w.enc.size());
+                out.bytes.insert(out.bytes.end(), w.enc.begin(),
+                                 w.enc.end());
+                verdict = checkState(r.next, mc);
+            }
+            if (verdict) {
+                c.verdict = static_cast<std::int32_t>(out.verdicts.size());
+                out.verdicts.push_back(std::move(*verdict));
+            }
+            out.cands.push_back(c);
+        }
+        out.stateEnd.push_back(static_cast<std::uint32_t>(out.cands.size()));
+    }
+}
+
 } // namespace
 
 ExploreResult
@@ -332,18 +489,29 @@ explore(const ExploreOptions &opt)
     const ModelConfig &mc = opt.mc;
     mc.validate();
 
+    // Worker 0 is the calling thread: it merges, and its stepper
+    // re-executes counterexample schedules.
+    const unsigned threads = opt.threads != 0
+                                 ? opt.threads
+                                 : replay::ThreadPool::defaultThreadCount();
+    std::vector<std::unique_ptr<Worker>> workers;
+    for (unsigned w = 0; w < threads; ++w)
+        workers.push_back(std::make_unique<Worker>(mc));
+    std::optional<replay::ThreadPool> pool;
+    if (threads > 1)
+        pool.emplace(threads - 1); // the calling thread is a worker too
+
     ExploreResult res;
-    Stepper stepper(mc);
     VisitedSet visited;
     std::deque<std::uint32_t> frontier;
-
-    std::vector<std::uint8_t> enc;
-    canonicalEncoding(Stepper::initialState(), mc, enc);
-    frontier.push_back(visited.insert(enc).first);
-
-    std::vector<Action> actions;
-    GlobalState s;
-    Stepper::Result stepRes;
+    {
+        std::vector<std::uint8_t> enc;
+        canonicalEncoding(Stepper::initialState(), mc, enc);
+        frontier.push_back(
+            visited.insert(enc.data(), enc.size(),
+                           fnv1a(enc.data(), enc.size()))
+                .first);
+    }
 
     const auto record = [&](std::uint32_t parentId, const Action *extra,
                             check::Violation v) {
@@ -351,70 +519,152 @@ explore(const ExploreOptions &opt)
             return;
         v.when = visited.rec(parentId).depth + (extra ? 1 : 0);
         res.counterexamples.push_back(buildCounterexample(
-            mc, stepper, visited, parentId, extra, std::move(v)));
+            mc, workers.front()->stepper, visited, parentId, extra,
+            std::move(v)));
     };
 
-    while (!frontier.empty()) {
-        const std::uint32_t id = frontier.front();
-        frontier.pop_front();
-        const StateRec cur = visited.rec(id); // by value: recs_ grows
-        decodeState(cur.enc, cur.len, mc, s);
-        res.maxDepth = std::max(res.maxDepth, unsigned{cur.depth});
+    FlatMap<std::uint64_t, std::uint64_t> sampleCounts;
+    std::vector<std::uint32_t> batch;
+    std::vector<EncodedState> batchStates;
+    std::atomic<std::size_t> nextChunk{0};
+    std::size_t numChunks = 0;
+    std::vector<Chunk> chunks(batch_states / chunk_states);
+    std::vector<std::atomic<bool>> ready(batch_states / chunk_states);
+    // The largest chunk merged so far, per buffer.
+    std::size_t peakCands = 0;
+    std::size_t peakBytes = 0;
+    std::size_t peakSamples = 0;
 
-        enumerateActions(s, mc, actions);
-        for (const Action &a : actions) {
-            stepper.step(s, a, stepRes);
-            ++res.transitions;
-            for (const Sample &smp : stepRes.samples)
-                res.table.record(smp);
+    // Claim and expand the next unclaimed chunk; false when none is
+    // left.
+    const auto expandNext = [&](Worker &w) {
+        const std::size_t k = nextChunk.fetch_add(1);
+        if (k >= numChunks)
+            return false;
+        const std::size_t lo = k * chunk_states;
+        expandChunk(w, mc, batchStates.data() + lo,
+                    std::min(chunk_states, batch.size() - lo), chunks[k]);
+        ready[k].store(true, std::memory_order_release);
+        return true;
+    };
 
-            if (stepRes.failed) {
-                ++res.failedSteps;
-                check::Violation v;
-                v.kind = check::ViolationKind::assertion;
-                v.detail = stepRes.failureMsg;
-                record(id, &a, std::move(v));
-                continue;
+    // Merge chunk k in (batch position, action index) order -- the
+    // order a one-state-at-a-time BFS steps in -- so ids, parents,
+    // counterexamples and the cut-off match it exactly. False once
+    // the state bound cut the search off.
+    const auto merge = [&](std::size_t k) {
+        const Chunk &ch = chunks[k];
+        std::size_t ci = 0;
+        std::size_t si = 0;
+        for (std::size_t i = 0; i < ch.stateEnd.size(); ++i) {
+            const std::uint32_t id = batch[k * chunk_states + i];
+            const std::uint32_t depth = visited.rec(id).depth;
+            res.maxDepth = std::max(res.maxDepth, unsigned{depth});
+            for (; ci < ch.stateEnd[i]; ++ci) {
+                if (ci + prefetch_ahead < ch.cands.size())
+                    visited.prefetch(ch.cands[ci + prefetch_ahead].hash);
+                const Candidate &c = ch.cands[ci];
+                ++res.transitions;
+                for (; si < c.samplesEnd; ++si)
+                    ++sampleCounts.obtain(ch.samples[si]);
+
+                if (c.failed) {
+                    ++res.failedSteps;
+                    record(id, &c.action, ch.verdicts[c.verdict]);
+                    continue;
+                }
+                const auto [nid, fresh] = visited.insert(
+                    ch.bytes.data() + c.encAt, c.encLen, c.hash);
+                if (!fresh)
+                    continue;
+                StateRec &nr = visited.rec(nid);
+                nr.parent = id;
+                nr.via = c.action;
+                nr.depth = depth + 1;
+
+                if (c.verdict >= 0) {
+                    // Violating states are terminal: record, don't
+                    // expand, so a clean space's size is a golden
+                    // number and a buggy one stops at the bug's
+                    // frontier.
+                    const check::Violation &v = ch.verdicts[c.verdict];
+                    if (v.kind == check::ViolationKind::liveness)
+                        ++res.deadlocks;
+                    record(nid, nullptr, v);
+                    continue;
+                }
+                if (visited.size() > opt.maxStates) {
+                    res.complete = false;
+                    check::Violation v;
+                    v.kind = check::ViolationKind::liveness;
+                    v.detail = detail::concat(
+                        "exploration exceeded the ", opt.maxStates,
+                        "-state bound without closing; livelock or an "
+                        "unbounded transient");
+                    record(nid, nullptr, std::move(v));
+                    return false;
+                }
+                frontier.push_back(nid);
             }
-
-            canonicalEncoding(stepRes.next, mc, enc);
-            const auto [nid, fresh] = visited.insert(enc);
-            if (!fresh)
-                continue;
-            StateRec &nr = visited.rec(nid);
-            nr.parent = id;
-            nr.via = a;
-            nr.depth = cur.depth + 1;
-
-            if (auto v = checkState(stepRes.next, mc)) {
-                // Violating states are terminal: record, don't
-                // expand, so a clean space's size is a golden number
-                // and a buggy one stops at the bug's frontier.
-                if (v->kind == check::ViolationKind::liveness)
-                    ++res.deadlocks;
-                record(nid, nullptr, std::move(*v));
-                continue;
-            }
-            if (visited.size() > opt.maxStates) {
-                res.complete = false;
-                check::Violation v;
-                v.kind = check::ViolationKind::liveness;
-                v.detail = detail::concat(
-                    "exploration exceeded the ", opt.maxStates,
-                    "-state bound without closing; livelock or an "
-                    "unbounded transient");
-                record(nid, nullptr, std::move(v));
-                res.states = visited.size();
-                res.consistency =
-                    res.table.diffAgainstDeclared(stepper.table());
-                return res;
-            }
-            frontier.push_back(nid);
         }
+        return true;
+    };
+
+    bool open = true;
+    while (open && !frontier.empty()) {
+        const std::size_t n = std::min(frontier.size(), batch_states);
+        batch.assign(frontier.begin(), frontier.begin() + n);
+        frontier.erase(frontier.begin(), frontier.begin() + n);
+        batchStates.clear();
+        for (const std::uint32_t id : batch)
+            batchStates.push_back({visited.rec(id).enc, visited.rec(id).len});
+        numChunks = (n + chunk_states - 1) / chunk_states;
+        nextChunk.store(0);
+        // Size the chunks here, on the calling thread, so workers
+        // rarely allocate: memory a worker's thread allocates stays in
+        // its malloc arena once freed, and would add to peak RSS on
+        // every exploration.
+        for (std::size_t k = 0; k < numChunks; ++k) {
+            ready[k].store(false, std::memory_order_relaxed);
+            Chunk &ch = chunks[k];
+            ch.stateEnd.reserve(chunk_states);
+            ch.cands.reserve(2 * peakCands);
+            ch.bytes.reserve(2 * peakBytes);
+            ch.samples.reserve(2 * peakSamples);
+        }
+
+        // The other workers only expand. The calling thread, worker 0,
+        // merges the chunks in order as they become ready and expands
+        // chunks itself while the next one is not. The merge writes
+        // the visited set while workers read nothing of it but
+        // batchStates' arena bytes; keeping it on the calling thread
+        // keeps the set's memory in that thread's malloc arena.
+        std::vector<std::future<void>> helpers;
+        const std::size_t active = std::min<std::size_t>(threads, numChunks);
+        for (std::size_t w = 1; w < active; ++w)
+            helpers.push_back(pool->async([&expandNext, &workers, w] {
+                while (expandNext(*workers[w])) {
+                }
+            }));
+        for (std::size_t k = 0; k < numChunks && open; ++k) {
+            while (!ready[k].load(std::memory_order_acquire))
+                if (!expandNext(*workers[0]))
+                    std::this_thread::yield();
+            open = merge(k);
+            peakCands = std::max(peakCands, chunks[k].cands.size());
+            peakBytes = std::max(peakBytes, chunks[k].bytes.size());
+            peakSamples = std::max(peakSamples, chunks[k].samples.size());
+        }
+        for (std::future<void> &h : helpers)
+            h.get();
     }
 
+    sampleCounts.forEach([&](std::uint64_t key, std::uint64_t hits) {
+        res.table.record(unpackSample(key), hits);
+    });
     res.states = visited.size();
-    res.consistency = res.table.diffAgainstDeclared(stepper.table());
+    res.consistency =
+        res.table.diffAgainstDeclared(workers.front()->stepper.table());
     return res;
 }
 

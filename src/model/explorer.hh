@@ -22,6 +22,18 @@
  * translated back from canonical node numbering to a concrete
  * executable schedule (see canonicalEncoding's bestPerm) and verified
  * by re-execution before being reported.
+ *
+ * The search is parallel and its results do not depend on the thread
+ * count. Each round takes a bounded batch of ids from the head of the
+ * FIFO frontier. Workers, each with its own Stepper, claim chunks of
+ * the batch and expand them: step every enabled action, encode, hash
+ * and check each successor. The calling thread merges the chunks in
+ * order as they become ready, and within a chunk in (batch position,
+ * action index) order -- the order a one-state-at-a-time BFS steps in -- so
+ * state ids, parent links, counterexamples, violation order, the
+ * maxStates cut-off and every count match a serial search bit for
+ * bit. Only the merge touches the visited set; workers read just the
+ * batch states' arena bytes, which never move.
  */
 
 #ifndef COSMOS_MODEL_EXPLORER_HH
@@ -50,6 +62,11 @@ struct ExploreOptions
 
     /** Stop recording (not exploring) after this many violations. */
     unsigned maxViolations = 8;
+
+    /** Workers expanding each batch, the calling thread included;
+     *  0 = replay::ThreadPool::defaultThreadCount() (COSMOS_THREADS,
+     *  else the hardware concurrency). Results do not depend on it. */
+    unsigned threads = 0;
 };
 
 /** A violation plus the schedule reaching it from the initial state. */

@@ -152,16 +152,17 @@ isQuiescent(const GlobalState &s, const ModelConfig &mc)
 namespace
 {
 
-void
-encodeMsg(const CompactMsg &m, std::vector<std::uint8_t> &out)
+std::uint8_t *
+encodeMsg(const CompactMsg &m, std::uint8_t *out)
 {
-    out.push_back(static_cast<std::uint8_t>(m.type));
-    out.push_back(m.src);
-    out.push_back(m.dst);
-    out.push_back(m.requester);
-    out.push_back(m.blockIdx);
-    out.push_back(static_cast<std::uint8_t>(m.forwarded));
-    out.push_back(static_cast<std::uint8_t>(m.wantWritable));
+    *out++ = static_cast<std::uint8_t>(m.type);
+    *out++ = m.src;
+    *out++ = m.dst;
+    *out++ = m.requester;
+    *out++ = m.blockIdx;
+    *out++ = static_cast<std::uint8_t>(m.forwarded);
+    *out++ = static_cast<std::uint8_t>(m.wantWritable);
+    return out;
 }
 
 std::size_t
@@ -177,12 +178,13 @@ decodeMsg(const std::uint8_t *enc, CompactMsg &m)
     return 7;
 }
 
-void
-encodeQueue(const MsgQueue &q, std::vector<std::uint8_t> &out)
+std::uint8_t *
+encodeQueue(const MsgQueue &q, std::uint8_t *out)
 {
-    out.push_back(q.count);
+    *out++ = q.count;
     for (unsigned i = 0; i < q.count; ++i)
-        encodeMsg(q.items[i], out);
+        out = encodeMsg(q.items[i], out);
+    return out;
 }
 
 std::size_t
@@ -200,34 +202,43 @@ decodeQueue(const std::uint8_t *enc, MsgQueue &q)
 
 } // namespace
 
-void
+std::size_t
 encodeState(const GlobalState &s, const ModelConfig &mc,
-            std::vector<std::uint8_t> &out)
+            std::uint8_t *out)
 {
-    out.clear();
+    std::uint8_t *const begin = out;
     for (unsigned n = 0; n < mc.numNodes; ++n) {
         for (unsigned b = 0; b < mc.numBlocks; ++b)
-            out.push_back(s.line[n][b]);
-        out.push_back(s.invalResidue[n]);
+            *out++ = s.line[n][b];
+        *out++ = s.invalResidue[n];
     }
     for (unsigned b = 0; b < mc.numBlocks; ++b) {
         const DirEntryState &e = s.dir[b];
-        out.push_back(static_cast<std::uint8_t>(e.state));
-        out.push_back(e.sharers);
-        out.push_back(e.owner);
-        out.push_back(static_cast<std::uint8_t>(e.busy));
-        out.push_back(e.pendingAcks);
-        out.push_back(static_cast<std::uint8_t>(e.genuineUpgrade));
-        out.push_back(static_cast<std::uint8_t>(e.recall));
-        out.push_back(static_cast<std::uint8_t>(e.fwdData));
-        out.push_back(static_cast<std::uint8_t>(e.fwdAckPending));
-        encodeMsg(e.current, out);
-        encodeQueue(e.waiting, out);
+        *out++ = static_cast<std::uint8_t>(e.state);
+        *out++ = e.sharers;
+        *out++ = e.owner;
+        *out++ = static_cast<std::uint8_t>(e.busy);
+        *out++ = e.pendingAcks;
+        *out++ = static_cast<std::uint8_t>(e.genuineUpgrade);
+        *out++ = static_cast<std::uint8_t>(e.recall);
+        *out++ = static_cast<std::uint8_t>(e.fwdData);
+        *out++ = static_cast<std::uint8_t>(e.fwdAckPending);
+        out = encodeMsg(e.current, out);
+        out = encodeQueue(e.waiting, out);
     }
     for (unsigned src = 0; src < mc.numNodes; ++src)
         for (unsigned dst = 0; dst < mc.numNodes; ++dst)
             if (src != dst)
-                encodeQueue(s.channel(src, dst), out);
+                out = encodeQueue(s.channel(src, dst), out);
+    return static_cast<std::size_t>(out - begin);
+}
+
+void
+encodeState(const GlobalState &s, const ModelConfig &mc,
+            std::vector<std::uint8_t> &out)
+{
+    std::uint8_t buf[max_encoding_bytes];
+    out.assign(buf, buf + encodeState(s, mc, buf));
 }
 
 void
@@ -337,26 +348,32 @@ canonicalEncoding(const GlobalState &s, const ModelConfig &mc,
     std::array<std::uint8_t, max_nodes> perm{};
     for (unsigned n = 0; n < max_nodes; ++n)
         perm[n] = static_cast<std::uint8_t>(n);
-
-    encodeState(s, mc, out);
     if (bestPerm)
         *bestPerm = perm;
 
-    const unsigned first = mc.firstSymmetricNode();
-    if (first + 1 >= mc.numNodes)
-        return; // fewer than two interchangeable nodes
+    // Two buffers: the best encoding so far and the candidate; the
+    // loser of each comparison is overwritten next.
+    std::uint8_t bufs[2][max_encoding_bytes];
+    unsigned best = 0;
+    std::size_t bestLen = encodeState(s, mc, bufs[best]);
 
-    std::vector<std::uint8_t> candidate;
-    candidate.reserve(out.size());
-    while (std::next_permutation(perm.begin() + first,
-                                 perm.begin() + mc.numNodes)) {
-        encodeState(permuteNodes(s, mc, perm), mc, candidate);
-        if (candidate < out) {
-            out = candidate;
-            if (bestPerm)
-                *bestPerm = perm;
+    const unsigned first = mc.firstSymmetricNode();
+    if (first + 1 < mc.numNodes) {
+        while (std::next_permutation(perm.begin() + first,
+                                     perm.begin() + mc.numNodes)) {
+            const std::size_t len =
+                encodeState(permuteNodes(s, mc, perm), mc, bufs[1 - best]);
+            if (std::lexicographical_compare(
+                    bufs[1 - best], bufs[1 - best] + len, bufs[best],
+                    bufs[best] + bestLen)) {
+                best = 1 - best;
+                bestLen = len;
+                if (bestPerm)
+                    *bestPerm = perm;
+            }
         }
     }
+    out.assign(bufs[best], bufs[best] + bestLen);
 }
 
 void

@@ -226,9 +226,20 @@ void enumerateActions(const GlobalState &s, const ModelConfig &mc,
  *  mid-transaction. */
 bool isQuiescent(const GlobalState &s, const ModelConfig &mc);
 
+/** Upper bound on encodeState's output at the max_* capacities. */
+constexpr std::size_t max_encoding_bytes =
+    max_nodes * (max_blocks + 1) +
+    max_blocks * (9 + 7 + 1 + 7 * max_queue) +
+    max_nodes * max_nodes * (1 + 7 * max_queue);
+
 /** Serialize exactly the fields live under @p mc (deterministic). */
 void encodeState(const GlobalState &s, const ModelConfig &mc,
                  std::vector<std::uint8_t> &out);
+
+/** As above, into @p out (room for max_encoding_bytes); returns the
+ *  encoded length. */
+std::size_t encodeState(const GlobalState &s, const ModelConfig &mc,
+                        std::uint8_t *out);
 
 /** Inverse of encodeState. */
 void decodeState(const std::uint8_t *enc, std::size_t len,

@@ -66,59 +66,96 @@ Stepper::fromMsg(const proto::Msg &m) const
 }
 
 void
+Stepper::restoreCache(NodeId n, const GlobalState &s)
+{
+    cacheScratch_.lines.clear();
+    for (unsigned b = 0; b < mc_.numBlocks; ++b) {
+        const auto st = static_cast<proto::LineState>(s.line[n][b]);
+        if (st != proto::LineState::invalid)
+            cacheScratch_.lines.emplace_back(mc_.blockAddr(b), st);
+    }
+    cacheScratch_.invalResidue = s.invalResidue[n];
+    caches_[n]->restore(cacheScratch_);
+}
+
+void
+Stepper::restoreDirectory(NodeId n, const GlobalState &s)
+{
+    dirScratch_.entries.clear();
+    for (unsigned b = 0; b < mc_.numBlocks; ++b) {
+        if (mc_.home(b) != n)
+            continue;
+        const DirEntryState &e = s.dir[b];
+        if (e.state == proto::DirState::idle && !e.busy)
+            continue;
+        proto::DirEntrySnapshot es;
+        es.block = mc_.blockAddr(b);
+        es.state = e.state;
+        es.sharers = e.sharers;
+        es.owner = e.owner == no_node ? invalid_node : NodeId{e.owner};
+        es.busy = e.busy;
+        es.pendingAcks = e.pendingAcks;
+        es.genuineUpgrade = e.genuineUpgrade;
+        es.recall = e.recall;
+        es.fwdData = e.fwdData;
+        es.fwdAckPending = e.fwdAckPending;
+        es.current = toMsg(e.current);
+        for (unsigned i = 0; i < e.waiting.count; ++i)
+            es.waiting.push_back(toMsg(e.waiting.items[i]));
+        dirScratch_.entries.push_back(std::move(es));
+    }
+    dirs_[n]->restore(dirScratch_);
+}
+
+void
 Stepper::load(const GlobalState &s)
 {
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-        cacheScratch_.lines.clear();
-        for (unsigned b = 0; b < mc_.numBlocks; ++b) {
-            const auto st = static_cast<proto::LineState>(s.line[n][b]);
-            if (st != proto::LineState::invalid)
-                cacheScratch_.lines.emplace_back(mc_.blockAddr(b), st);
+        const std::uint32_t bit = 1u << n;
+        if (!(cacheHeld_ & bit) || held_.line[n] != s.line[n] ||
+            held_.invalResidue[n] != s.invalResidue[n]) {
+            restoreCache(n, s);
+            held_.line[n] = s.line[n];
+            held_.invalResidue[n] = s.invalResidue[n];
         }
-        cacheScratch_.invalResidue = s.invalResidue[n];
-        caches_[n]->restore(cacheScratch_);
-
-        dirScratch_.entries.clear();
-        for (unsigned b = 0; b < mc_.numBlocks; ++b) {
-            if (mc_.home(b) != n)
-                continue;
-            const DirEntryState &e = s.dir[b];
-            if (e.state == proto::DirState::idle && !e.busy)
-                continue;
-            proto::DirEntrySnapshot es;
-            es.block = mc_.blockAddr(b);
-            es.state = e.state;
-            es.sharers = e.sharers;
-            es.owner = e.owner == no_node ? invalid_node
-                                          : NodeId{e.owner};
-            es.busy = e.busy;
-            es.pendingAcks = e.pendingAcks;
-            es.genuineUpgrade = e.genuineUpgrade;
-            es.recall = e.recall;
-            es.fwdData = e.fwdData;
-            es.fwdAckPending = e.fwdAckPending;
-            es.current = toMsg(e.current);
-            for (unsigned i = 0; i < e.waiting.count; ++i)
-                es.waiting.push_back(toMsg(e.waiting.items[i]));
-            dirScratch_.entries.push_back(std::move(es));
+        bool dirSame = (dirHeld_ & bit) != 0;
+        for (unsigned b = 0; b < mc_.numBlocks && dirSame; ++b)
+            if (mc_.home(b) == n && !(held_.dir[b] == s.dir[b]))
+                dirSame = false;
+        if (!dirSame) {
+            restoreDirectory(n, s);
+            for (unsigned b = 0; b < mc_.numBlocks; ++b)
+                if (mc_.home(b) == n)
+                    held_.dir[b] = s.dir[b];
         }
-        dirs_[n]->restore(dirScratch_);
     }
+    const std::uint32_t all = (1u << cfg_.numNodes) - 1;
+    cacheHeld_ = all;
+    dirHeld_ = all;
+    cacheTouched_ = 0;
+    dirTouched_ = 0;
 }
 
 void
 Stepper::readBack(GlobalState &out)
 {
     for (NodeId n = 0; n < cfg_.numNodes; ++n) {
-        for (unsigned b = 0; b < mc_.numBlocks; ++b)
-            out.line[n][b] =
-                static_cast<std::uint8_t>(proto::LineState::invalid);
-        caches_[n]->snapshot(cacheScratch_);
-        for (const auto &[block, st] : cacheScratch_.lines)
-            out.line[n][blockIdx(block)] =
-                static_cast<std::uint8_t>(st);
-        out.invalResidue[n] =
-            static_cast<std::uint8_t>(cacheScratch_.invalResidue);
+        const std::uint32_t bit = 1u << n;
+        if (cacheTouched_ & bit) {
+            for (unsigned b = 0; b < mc_.numBlocks; ++b)
+                out.line[n][b] = static_cast<std::uint8_t>(
+                    proto::LineState::invalid);
+            caches_[n]->snapshot(cacheScratch_);
+            for (const auto &[block, st] : cacheScratch_.lines)
+                out.line[n][blockIdx(block)] =
+                    static_cast<std::uint8_t>(st);
+            out.invalResidue[n] =
+                static_cast<std::uint8_t>(cacheScratch_.invalResidue);
+            held_.line[n] = out.line[n];
+            held_.invalResidue[n] = out.invalResidue[n];
+        }
+        if (!(dirTouched_ & bit))
+            continue;
 
         dirs_[n]->snapshot(dirScratch_);
         for (unsigned b = 0; b < mc_.numBlocks; ++b)
@@ -150,6 +187,9 @@ Stepper::readBack(GlobalState &out)
             for (const proto::Msg &w : es.waiting)
                 e.waiting.push(fromMsg(w));
         }
+        for (unsigned b = 0; b < mc_.numBlocks; ++b)
+            if (mc_.home(b) == n)
+                held_.dir[b] = out.dir[b];
     }
 }
 
@@ -186,7 +226,8 @@ Stepper::drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
                       "message emitted by a module other than the "
                       "handled one: ",
                       m.format());
-        sample.emissions.push_back(m.type);
+        sample.emissions = static_cast<std::uint16_t>(
+            sample.emissions | (1u << static_cast<unsigned>(m.type)));
         if (m.src == m.dst)
             worklist.push_back(m);
         else
@@ -238,13 +279,14 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
             // The guard bits are exactly what the controller's own
             // dispatch derives (the forwarded mark and, for recalls,
             // the wanted copy kind -- message state, not cache state);
-            // their canonical rendering is the sample context, so the
-            // extracted rows stay deterministic and the consistency
-            // diff can match samples back to declared rows.
-            const proto::GuardBits guard = proto::cacheMsgGuard(m);
-            sample.context = proto::guardContext(guard);
+            // their canonical rendering is the table key's context,
+            // so the extracted rows stay deterministic and the
+            // consistency diff can match samples back to declared
+            // rows.
+            sample.guard = proto::cacheMsgGuard(m);
             sample.row = table_.find(proto::Role::cache, sample.pre,
-                                     sample.input, guard);
+                                     sample.input, sample.guard);
+            cacheTouched_ |= 1u << m.dst;
             caches_[m.dst]->handleMessage(m);
             drainInto(sample, worklist, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
@@ -258,17 +300,17 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
             // guard predicates over the directory's hidden state (ack
             // counts, the genuineUpgrade latch, forward-in-flight
             // flags, the FIFO backlog) live in dirMsgGuard.
-            const proto::GuardBits guard =
+            sample.guard =
                 proto::dirMsgGuard(viewOf(pre), m.type, m.src);
-            sample.context = proto::guardContext(guard);
-            sample.row = table_.find(proto::Role::directory,
-                                     sample.pre, sample.input, guard);
+            sample.row = table_.find(proto::Role::directory, sample.pre,
+                                     sample.input, sample.guard);
+            dirTouched_ |= 1u << m.dst;
             dirs_[m.dst]->handleMessage(m);
             drainInto(sample, worklist, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
                 dirAbstract(dirEntry(m.dst, m.block)));
         }
-        out.samples.push_back(std::move(sample));
+        out.samples.push_back(sample);
     }
     worklist.clear();
 }
@@ -283,8 +325,13 @@ Stepper::step(const GlobalState &s, const Action &a, Result &out)
     load(s);
     captured_.clear();
 
-    GlobalState work = s;
-    std::vector<proto::Msg> worklist;
+    // Build the successor in place; the controllers no handler runs
+    // on keep their slice of s.
+    GlobalState &work = out.next;
+    if (&work != &s)
+        work = s;
+    std::vector<proto::Msg> &worklist = worklist_;
+    worklist.clear();
 
     FailureTrap trap;
     try {
@@ -306,23 +353,26 @@ Stepper::step(const GlobalState &s, const Action &a, Result &out)
             sample.row =
                 table_.find(proto::Role::cache, sample.pre,
                             sample.input, proto::guard_none);
+            cacheTouched_ |= 1u << a.node;
             caches_[a.node]->access(addr, write, []() {});
             drainInto(sample, worklist, work, a.node);
             sample.post = static_cast<std::uint8_t>(
                 caches_[a.node]->state(addr));
-            out.samples.push_back(std::move(sample));
+            out.samples.push_back(sample);
         }
         runCascade(out, worklist, work);
         readBack(work);
-        out.next = work;
     } catch (const RecoverableError &e) {
         out.failed = true;
         out.failureMsg = detail::concat(e.what(), " (", e.file(), ":",
                                         e.line(), ")");
-        // Discard leftover scheduled events so the next step starts
-        // from a clean queue; running them against half-mutated
-        // controllers may fail again, which is fine -- they are being
-        // thrown away.
+        // The controllers are half-mutated: restore all of them
+        // before the next step. Discard leftover scheduled events so
+        // it starts from a clean queue; running them against
+        // half-mutated controllers may fail again, which is fine --
+        // they are being thrown away.
+        cacheHeld_ = 0;
+        dirHeld_ = 0;
         while (eq_.pending()) {
             try {
                 eq_.runOne();

@@ -24,6 +24,18 @@
  * inside the protocol (e.g. an unexpected message under network
  * reordering) becomes a failed Result, not a dead process, so the
  * exploration can record the violation and continue.
+ *
+ * Restores are lazy. The stepper remembers which slice of a state
+ * each controller holds: after a successful step every controller
+ * holds its slice of `next` (the ones a handler ran on are read back
+ * into it, the rest never changed), so the next step restores only
+ * the controllers whose slice differs. After a trapped failure the
+ * controllers are half-mutated and everything is restored. Fields a
+ * read-back normalizes away (a quiescent directory entry's last
+ * request and its upgrade latch) are rewritten when the entry serves
+ * its next request, before anything reads them, so a held controller
+ * behaves exactly like a freshly restored one;
+ * Stepper.ReusedStepperMatchesFreshOne pins that.
  */
 
 #ifndef COSMOS_MODEL_STEPPER_HH
@@ -73,8 +85,13 @@ class Stepper
     const proto::ProtocolTable &table() const { return table_; }
 
   private:
+    /** Restore the controllers whose slice of @p s differs from the
+     *  one they hold. */
     void load(const GlobalState &s);
+    /** Read the controllers a handler ran on this step into @p out. */
     void readBack(GlobalState &out);
+    void restoreCache(NodeId n, const GlobalState &s);
+    void restoreDirectory(NodeId n, const GlobalState &s);
     void runCascade(Result &out, std::vector<proto::Msg> &worklist,
                     GlobalState &work);
     void drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
@@ -99,10 +116,22 @@ class Stepper
 
     /** Messages captured from the controllers' send hook. */
     std::vector<proto::Msg> captured_;
+    /** Home-local messages awaiting delivery within the step. */
+    std::vector<proto::Msg> worklist_;
 
     /** Scratch snapshots (reused across steps to avoid allocation). */
     proto::CacheSnapshot cacheScratch_;
     proto::DirectorySnapshot dirScratch_;
+
+    /** The state whose controller slices the controllers hold; bit n
+     *  of cacheHeld_ / dirHeld_ says whether cache / directory n
+     *  holds its slice of it (clear: restore before use). */
+    GlobalState held_{};
+    std::uint32_t cacheHeld_ = 0;
+    std::uint32_t dirHeld_ = 0;
+    /** Bit n: a handler ran on cache / directory n this step. */
+    std::uint32_t cacheTouched_ = 0;
+    std::uint32_t dirTouched_ = 0;
 };
 
 } // namespace cosmos::model

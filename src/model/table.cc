@@ -107,25 +107,23 @@ Outcome::format(Module module) const
 }
 
 void
-TransitionTable::record(const Sample &s)
+TransitionTable::record(const Sample &s, std::uint64_t hits)
 {
     TableKey key;
     key.module = s.module;
     key.state = s.pre;
     key.input = s.input;
-    key.context = s.context;
+    key.context = proto::guardContext(s.guard);
 
     Outcome o;
     o.next = s.post;
-    o.emissions = s.emissions;
-    std::sort(o.emissions.begin(), o.emissions.end());
-    o.emissions.erase(
-        std::unique(o.emissions.begin(), o.emissions.end()),
-        o.emissions.end());
+    for (unsigned t = 0; t < proto::num_msg_types; ++t)
+        if (s.emissions & (1u << t))
+            o.emissions.push_back(static_cast<proto::MsgType>(t));
 
     TableEntry &e = entries_[key];
     e.outcomes.insert(std::move(o));
-    ++e.hits;
+    e.hits += hits;
 }
 
 std::set<std::uint8_t>

@@ -78,6 +78,9 @@ constexpr unsigned num_inputs = 15;
 /** Printable input name ("get_ro_request", "proc_read", ...). */
 const char *inputName(std::uint8_t input);
 
+static_assert(proto::num_msg_types <= 16,
+              "Sample::emissions is a 16-bit mask of message types");
+
 /** One observed handler invocation. */
 struct Sample
 {
@@ -85,8 +88,12 @@ struct Sample
     std::uint8_t pre = 0;  ///< LineState or DirAbstract
     std::uint8_t post = 0; ///< LineState or DirAbstract
     std::uint8_t input = 0;
-    std::string context;
-    std::vector<proto::MsgType> emissions;
+    /** Guard bits the dispatch derived; guardContext() renders them
+     *  as the table key's context tag. */
+    proto::GuardBits guard = proto::guard_none;
+    /** Bit t set when the module emitted a message of type t
+     *  (multiplicities and order abstracted away, as in Outcome). */
+    std::uint16_t emissions = 0;
     /** The declared table row the dispatch matched (nullptr when no
      *  row covers the sample -- itself a consistency finding). Points
      *  into the stepper's ProtocolTable; valid for its lifetime. */
@@ -184,8 +191,8 @@ struct ConsistencyFinding
 class TransitionTable
 {
   public:
-    /** Fold one stepper sample into the table. */
-    void record(const Sample &s);
+    /** Fold @p hits identical stepper samples into the table. */
+    void record(const Sample &s, std::uint64_t hits = 1);
 
     const std::map<TableKey, TableEntry> &entries() const
     {

@@ -49,7 +49,8 @@ ThreadPool::defaultThreadCount()
         char *end = nullptr;
         const long v = std::strtol(env, &end, 10);
         if (end != env && v > 0)
-            return static_cast<unsigned>(std::min(v, 256L));
+            return static_cast<unsigned>(
+                std::min(v, static_cast<long>(max_threads)));
         cosmos_warn("ignoring invalid COSMOS_THREADS value \"", env,
                     "\"");
     }

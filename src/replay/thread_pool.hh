@@ -96,9 +96,13 @@ class ThreadPool
         return future;
     }
 
+    /** Cap on the worker count COSMOS_THREADS may request. */
+    static constexpr unsigned max_threads = 256;
+
     /**
      * Resolved worker count: COSMOS_THREADS when set to a positive
-     * integer, else hardware_concurrency (min 1).
+     * integer (capped at max_threads), else hardware_concurrency
+     * (min 1).
      */
     static unsigned defaultThreadCount();
 

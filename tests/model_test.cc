@@ -13,7 +13,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "check/fuzzer.hh"
 #include "check/violation.hh"
 #include "model/explorer.hh"
+#include "model/report.hh"
 #include "model/state.hh"
 #include "model/stepper.hh"
 #include "model/table.hh"
@@ -110,6 +113,113 @@ TEST(Stepper, HomeNodeAccessCompletesLocallyInOneStep)
               proto::LineState::read_only);
     // Cascade: proc_read sample + directory sample + response sample.
     EXPECT_GE(r.samples.size(), 3u);
+}
+
+/** Why @p a and @p b, results of the same step, differ (empty when
+ *  they agree in the successor, the failure and every sample). */
+std::string
+stepDifference(const model::ModelConfig &mc,
+               const model::Stepper::Result &a,
+               const model::Stepper::Result &b)
+{
+    if (a.failed != b.failed || a.failureMsg != b.failureMsg)
+        return "failure: \"" + a.failureMsg + "\" vs \"" +
+               b.failureMsg + "\"";
+    if (!a.failed) {
+        std::vector<std::uint8_t> ea, eb;
+        model::encodeState(a.next, mc, ea);
+        model::encodeState(b.next, mc, eb);
+        if (ea != eb)
+            return "successor encodings differ";
+    }
+    if (a.samples.size() != b.samples.size())
+        return "sample counts differ";
+    // Rows point into each stepper's own table: compare their
+    // declaration sites.
+    const auto where = [](const model::Sample &smp) {
+        return smp.row ? smp.row->where() : std::string("(none)");
+    };
+    for (std::size_t i = 0; i < a.samples.size(); ++i) {
+        const model::Sample &x = a.samples[i];
+        const model::Sample &y = b.samples[i];
+        if (x.module != y.module || x.pre != y.pre || x.post != y.post ||
+            x.input != y.input || x.guard != y.guard ||
+            x.emissions != y.emissions || where(x) != where(y))
+            return "sample " + std::to_string(i) + " differs";
+    }
+    return {};
+}
+
+TEST(Stepper, ReusedStepperMatchesFreshOne)
+{
+    // A stepper restores only the controllers whose slice of the
+    // state differs from the one they hold (everything after a
+    // trapped failure). Walk every transition of a space with trapped
+    // failures in BFS order through one reused stepper and compare
+    // each step with a stepper built for that step alone: restoring
+    // less must never change a step.
+    model::ModelConfig mc = threeNodes();
+    mc.reorder = 1;
+    model::Stepper reused(mc);
+
+    std::set<std::vector<std::uint8_t>> seen;
+    std::deque<model::GlobalState> frontier;
+    std::vector<std::uint8_t> enc;
+    model::canonicalEncoding(model::Stepper::initialState(), mc, enc);
+    seen.insert(enc);
+    frontier.push_back(model::Stepper::initialState());
+
+    std::vector<model::Action> actions;
+    model::Stepper::Result r, fresh;
+    std::size_t steps = 0, stepsAfterFailure = 0;
+    bool lastFailed = false;
+    while (!frontier.empty()) {
+        const model::GlobalState s = frontier.front();
+        frontier.pop_front();
+        model::enumerateActions(s, mc, actions);
+        for (const model::Action &a : actions) {
+            reused.step(s, a, r);
+            model::Stepper once(mc); // fresh's rows point into it
+            once.step(s, a, fresh);
+            const std::string diff = stepDifference(mc, r, fresh);
+            ASSERT_TRUE(diff.empty())
+                << "step " << steps << " (" << a.format()
+                << "): " << diff;
+            ++steps;
+            stepsAfterFailure += lastFailed ? 1 : 0;
+            lastFailed = r.failed;
+            if (r.failed)
+                continue;
+            model::canonicalEncoding(r.next, mc, enc);
+            if (seen.insert(enc).second)
+                frontier.push_back(r.next);
+        }
+    }
+    // The 726-state / 1879-transition space of the explorer, with
+    // its trapped assertions, each followed by a reused step.
+    EXPECT_EQ(seen.size(), 726u);
+    EXPECT_EQ(steps, 1879u);
+    EXPECT_GT(stepsAfterFailure, 0u);
+
+    // Those traps all fire before any handler ran. This one fires
+    // mid-cascade: the home's directory wrongly records its own node
+    // as the exclusive owner, so node 0's write miss leaves its cache
+    // waiting and marks the entry busy before the directory asserts
+    // that an owner never misses. The next step from the same state
+    // must not see either change.
+    const model::ModelConfig two = twoNodes();
+    model::Stepper again(two);
+    model::GlobalState bad = model::Stepper::initialState();
+    bad.dir[0].state = proto::DirState::exclusive;
+    bad.dir[0].owner = 0;
+    model::Action write = issueRead(0);
+    write.kind = model::Action::Kind::issue_write;
+    again.step(bad, write, r);
+    ASSERT_TRUE(r.failed);
+    again.step(bad, issueRead(0), r);
+    model::Stepper once(two);
+    once.step(bad, issueRead(0), fresh);
+    EXPECT_EQ(stepDifference(two, r, fresh), "");
 }
 
 // ---------------------------------------------------------------------
@@ -357,6 +467,65 @@ TEST(Explore, MaxStatesBoundReportsIncomplete)
     EXPECT_FALSE(res.complete);
     EXPECT_FALSE(res.clean());
     EXPECT_TRUE(hasViolation(res, check::ViolationKind::liveness));
+}
+
+/** Everything an exploration reports, rendered: the JSON artifact,
+ *  the human report and every counterexample. */
+std::string
+renderedResults(const model::ExploreOptions &opt)
+{
+    const model::ExploreResult res = model::explore(opt);
+    const std::string path = testing::TempDir() + "model_threads.json";
+    EXPECT_TRUE(model::writeReportJson(path, opt.mc, res));
+    std::ifstream f(path);
+    std::string out((std::istreambuf_iterator<char>(f)),
+                    std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    out += model::renderReport(opt.mc, res);
+    for (const model::Counterexample &ce : res.counterexamples)
+        out += model::formatCounterexample(opt.mc, ce);
+    return out;
+}
+
+TEST(Explore, ThreadCountDoesNotChangeResults)
+{
+    // Workers expand a batch in chunks and the merge inserts in
+    // (batch position, action index) order, so no report may depend
+    // on the thread count. Three workers split batches unevenly.
+    std::map<std::string, model::ExploreOptions> cases;
+    const auto add = [&cases](const std::string &name, NodeId nodes,
+                              unsigned blocks) -> model::ExploreOptions & {
+        model::ExploreOptions &opt = cases[name];
+        opt.mc.numNodes = nodes;
+        opt.mc.numBlocks = blocks;
+        return opt;
+    };
+    add("2n", 2, 1);
+    add("3n", 3, 1);
+    add("3n2b", 3, 2);
+    add("2n forwarding", 2, 1).mc.forwarding = true;
+    add("3n forwarding", 3, 1).mc.forwarding = true;
+    add("2n planted bug", 2, 1).mc.ignoreInvalEvery = 1;
+    model::ExploreOptions &legacy = add("3n legacy forwarding", 3, 1);
+    legacy.mc.forwarding = true;
+    legacy.mc.legacyForwarding = true;
+    add("3n reorder 1", 3, 1).mc.reorder = 1; // traps assertions
+    add("3n2b cut off", 3, 2).maxStates = 1000; // mid-batch
+
+    for (auto &[name, opt] : cases) {
+        opt.threads = 1;
+        const std::string one = renderedResults(opt);
+        opt.threads = 3;
+        EXPECT_EQ(one, renderedResults(opt)) << name;
+    }
+
+    // The cut-off lands where a one-state-at-a-time search stopped.
+    model::ExploreOptions cut = cases.at("3n2b cut off");
+    const model::ExploreResult res = model::explore(cut);
+    EXPECT_FALSE(res.complete);
+    EXPECT_EQ(res.states, 1001u);
+    EXPECT_EQ(res.transitions, 2280u);
+    EXPECT_EQ(res.maxDepth, 4u);
 }
 
 // ---------------------------------------------------------------------

@@ -51,6 +51,9 @@
  *                    messages on its channel (default 0 = the
  *                    simulator's FIFO contract)
  *   --max-states N   abort (as a liveness failure) past N states
+ *                    (a decimal integer, at least 1)
+ *   --threads N      workers expanding each BFS batch (see Common
+ *                    options); the results do not depend on N
  *   --forwarding     enable SGI-Origin-style request forwarding
  *                    (three-hop). Only inval_rw/downgrade recalls
  *                    are forwarded -- inval_ro sweeps never are,
@@ -121,8 +124,9 @@
  *   --policy P       owner-read policy: half-migratory | downgrade
  *   --depth D        MHR depth for analyze (default 2)
  *   --filter F       filter max count for analyze (default 0)
- *   --threads N      (sweep) worker threads; 0 = COSMOS_THREADS,
- *                    else hardware concurrency
+ *   --threads N      (sweep, model) worker threads, a decimal
+ *                    integer in [0, 256]; 0 = COSMOS_THREADS, else
+ *                    hardware concurrency
  *   --out FILE       (run) save the trace here; (figures) output
  *                    directory (default ".")
  *   --metrics-out F  write the metrics registry as stable JSON
@@ -146,11 +150,14 @@
  *   cosmos run --forge migratory=0.4,phase=8 --forge-out forge.json
  */
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -175,6 +182,7 @@
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
 #include "harness/sweep.hh"
+#include "replay/thread_pool.hh"
 #include "trace/pattern_census.hh"
 #include "trace/trace_io.hh"
 #include "workloads/workload.hh"
@@ -258,11 +266,35 @@ usage()
         "       cosmos model [--nodes N] [--blocks N] [--reorder K] "
         "[--max-states N] [--forwarding] [--legacy-forwarding]\n"
         "              [--policy half-migratory|downgrade] "
-        "[--inject-ignore-inval N] [--out FILE]\n"
+        "[--inject-ignore-inval N] [--threads N] [--out FILE]\n"
         "              [--counterexample-out FILE]\n"
         "       cosmos lint [--nodes N] [--forwarding] "
         "[--legacy-forwarding] [--policy P] [--capacity N]\n"
         "              [--mutate KIND] [--out FILE]\n");
+    std::exit(2);
+}
+
+/** @p text as a decimal integer in [lo, hi]; nullopt for anything
+ *  else -- a sign, a suffix, an exponent, overflow. */
+std::optional<unsigned long long>
+decimalIn(const char *text, unsigned long long lo, unsigned long long hi)
+{
+    const char *end = text + std::strlen(text);
+    unsigned long long v = 0;
+    const auto [stop, err] = std::from_chars(text, end, v);
+    if (err != std::errc{} || stop != end || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
+/** Reject a flag value before any work: name the flag and what it
+ *  accepts, exit with status 2. */
+[[noreturn]] void
+badFlagValue(const CliArgs &args, const char *flag,
+             const std::string &accepts, const char *value)
+{
+    std::fprintf(stderr, "cosmos %s: %s must be %s, got \"%s\"\n",
+                 args.command.c_str(), flag, accepts.c_str(), value);
     std::exit(2);
 }
 
@@ -300,7 +332,16 @@ parse(int argc, char **argv)
         } else if (flag == "--filter") {
             args.filter = static_cast<unsigned>(std::atoi(value()));
         } else if (flag == "--threads") {
-            args.threads = static_cast<unsigned>(std::atoi(value()));
+            const char *v = value();
+            const auto n =
+                decimalIn(v, 0, replay::ThreadPool::max_threads);
+            if (!n)
+                badFlagValue(args, "--threads",
+                             detail::concat(
+                                 "a decimal integer in [0, ",
+                                 replay::ThreadPool::max_threads, "]"),
+                             v);
+            args.threads = static_cast<unsigned>(*n);
         } else if (flag == "--out") {
             args.out = value();
         } else if (flag == "--metrics-out") {
@@ -345,9 +386,12 @@ parse(int argc, char **argv)
             args.modelReorder =
                 static_cast<unsigned>(std::atoi(value()));
         } else if (flag == "--max-states") {
-            args.modelMaxStates =
-                static_cast<std::size_t>(std::strtoull(value(),
-                                                       nullptr, 0));
+            const char *v = value();
+            const auto n = decimalIn(v, 1, SIZE_MAX);
+            if (!n)
+                badFlagValue(args, "--max-states",
+                             "a decimal integer of at least 1", v);
+            args.modelMaxStates = static_cast<std::size_t>(*n);
         } else if (flag == "--forwarding") {
             args.forwarding = true;
         } else if (flag == "--legacy-forwarding") {
@@ -832,6 +876,7 @@ cmdModel(const CliArgs &args)
     opt.mc.legacyForwarding = args.legacyForwarding;
     opt.mc.ignoreInvalEvery = args.injectIgnoreInval;
     opt.maxStates = args.modelMaxStates;
+    opt.threads = args.threads;
     opt.mc.validate();
 
     const model::ExploreResult res = model::explore(opt);
