@@ -19,14 +19,14 @@ Schemas:
                   a shrunk reproducer no larger than the original;
                   every history entry is a "t=<tick> <message>" line
                   and the ticks never decrease from oldest to newest
-    model         a cosmos-model-v1 document from `cosmos model
+    model         a cosmos-model-v2 document from `cosmos model
                   --out`: exploration counters, a "clean" verdict
                   consistent with the violation list and completeness,
-                  a transition table whose entries carry sorted
-                  module/state/input keys with at least one outcome
-                  each, lint findings with known kinds, and a
-                  "consistent" verdict agreeing with the
-                  declared-table consistency diff
+                  a non-empty list of declared rows, each a distinct
+                  transition_table.cc:<line> provenance plus row text
+                  with a non-negative hit count (at least one row
+                  hit), and a "consistent" verdict agreeing with the
+                  declared-table consistency findings
     lint          a cosmos-lint-v1 document from `cosmos lint --out`:
                   the analyzed configuration, the planted mutation (or
                   "none"), row counts, findings with known kinds and
@@ -197,11 +197,8 @@ MODEL_CONFIG_KEYS = {"nodes", "blocks", "reorder", "policy",
 MODEL_COUNTER_KEYS = {"states", "transitions", "max_depth",
                       "deadlocks", "failed_steps"}
 
-MODEL_ENTRY_KEYS = {"module", "state", "input", "context", "hits",
-                    "outcomes"}
-
-LINT_KINDS = {"unreachable_state", "dead_input", "nondeterministic",
-              "forwarding_asymmetry"}
+# Provenance of a declared row (TransitionRow::where()).
+ROW_WHERE = re.compile(r"src/proto/transition_table\.cc:\d+", re.ASCII)
 
 CONSISTENCY_KINDS = {"undeclared_transition", "unreachable_reached",
                      "outcome_mismatch"}
@@ -210,7 +207,7 @@ CONSISTENCY_KINDS = {"undeclared_transition", "unreachable_reached",
 def check_model(doc):
     if not isinstance(doc, dict):
         return "top level is not an object"
-    if doc.get("format") != "cosmos-model-v1":
+    if doc.get("format") != "cosmos-model-v2":
         return f"unexpected format field: {doc.get('format')!r}"
     config = doc.get("config")
     if not isinstance(config, dict):
@@ -238,38 +235,27 @@ def check_model(doc):
             return f"violation {j} missing keys: {sorted(missing)}"
         if v["kind"] not in VIOLATION_KINDS:
             return f"violation {j} has unknown kind {v['kind']!r}"
-    table = doc.get("table")
-    if not isinstance(table, dict):
-        return "missing \"table\" object"
-    entries = table.get("entries")
-    if not isinstance(entries, list) or not entries:
-        return "table has no entries"
-    if not isinstance(table.get("nondeterministic"), int):
-        return "table missing integer \"nondeterministic\""
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            return f"table entry {i} is not an object"
-        missing = MODEL_ENTRY_KEYS - e.keys()
-        if missing:
-            return f"table entry {i} missing keys: {sorted(missing)}"
-        if e["module"] not in ("cache", "directory"):
-            return (f"table entry {i} has unknown module "
-                    f"{e['module']!r}")
-        if not isinstance(e["outcomes"], list) or not e["outcomes"]:
-            return f"table entry {i} has no outcomes"
-        if not (isinstance(e["hits"], int) and e["hits"] > 0):
-            return f"table entry {i} has no hits"
-    lint = doc.get("lint")
-    if not isinstance(lint, list):
-        return "missing \"lint\" array"
-    for i, f in enumerate(lint):
-        if not isinstance(f, dict):
-            return f"lint finding {i} is not an object"
-        if f.get("kind") not in LINT_KINDS:
-            return (f"lint finding {i} has unknown kind "
-                    f"{f.get('kind')!r}")
-        if not isinstance(f.get("detail"), str):
-            return f"lint finding {i} missing \"detail\""
+    rows = doc.get("rows")
+    if not isinstance(rows, list) or not rows:
+        return "\"rows\" is not a non-empty list"
+    seen = set()
+    for i, r in enumerate(rows):
+        if not isinstance(r, dict):
+            return f"row {i} is not an object"
+        where, text, hits = r.get("where"), r.get("row"), r.get("hits")
+        if not (isinstance(where, str) and ROW_WHERE.fullmatch(where)):
+            return (f"row {i} has no transition_table.cc provenance: "
+                    f"{where!r}")
+        if not isinstance(text, str):
+            return f"row {i} missing string \"row\""
+        if type(hits) is not int or hits < 0:
+            return (f"row {i} has no non-negative integer hits: "
+                    f"{hits!r}")
+        if (where, text) in seen:
+            return f"row {i} repeats {where} {text!r}"
+        seen.add((where, text))
+    if not any(r["hits"] for r in rows):
+        return "no declared row was hit"
     if not isinstance(doc.get("consistent"), bool):
         return "missing boolean \"consistent\""
     consistency = doc.get("consistency")

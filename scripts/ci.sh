@@ -83,7 +83,7 @@ echo "== fuzz smoke OK (200 clean seeds, planted bug caught)"
 # Model-check smoke: the exhaustive checker must close out the
 # 2-node and 3-node spaces cleanly with the pinned golden counts (a
 # count drift is a protocol-semantics change that must be reviewed)
-# and a valid cosmos-model-v1 artifact. Negative leg: the planted
+# and a valid cosmos-model-v2 artifact. Negative leg: the planted
 # lost-invalidation bug MUST produce an SWMR counterexample, and that
 # counterexample MUST reproduce when replayed through the real
 # simulator (cosmos fuzz --replay-model exits non-zero on
@@ -95,7 +95,6 @@ python3 scripts/check_json.py --schema model \
     artifacts/model_2n.json artifacts/model_3n.json
 grep -q '"states": 48,' artifacts/model_2n.json
 grep -q '"transitions": 86,' artifacts/model_2n.json
-grep -q '"nondeterministic": 0' artifacts/model_2n.json
 grep -q '"consistent": true' artifacts/model_2n.json
 grep -q '"states": 488,' artifacts/model_3n.json
 grep -q '"transitions": 1152,' artifacts/model_3n.json
@@ -111,6 +110,8 @@ python3 scripts/check_json.py --schema model \
     artifacts/model_planted_bug.json
 grep -q '"clean": false' artifacts/model_planted_bug.json
 grep -q 'writer_and_readers' artifacts/model_planted_bug.json
+grep -q '"consistent": false' artifacts/model_planted_bug.json
+grep -q 'outcome_mismatch' artifacts/model_planted_bug.json
 if ./build/tools/cosmos fuzz \
     --replay-model artifacts/model_counterexample.txt > /dev/null; then
     echo "model smoke: counterexample did NOT reproduce in the" \
@@ -141,11 +142,9 @@ python3 scripts/check_json.py --schema model \
     artifacts/model_3n2b_fwd.json
 grep -q '"states": 78,' artifacts/model_2n_fwd.json
 grep -q '"transitions": 142,' artifacts/model_2n_fwd.json
-grep -q '"nondeterministic": 0' artifacts/model_2n_fwd.json
 grep -q '"consistent": true' artifacts/model_2n_fwd.json
 grep -q '"states": 883,' artifacts/model_3n_fwd.json
 grep -q '"transitions": 2149,' artifacts/model_3n_fwd.json
-grep -q '"nondeterministic": 0' artifacts/model_3n_fwd.json
 grep -q '"consistent": true' artifacts/model_3n_fwd.json
 grep -q '"states": 276396,' artifacts/model_3n2b_fwd.json
 grep -q '"transitions": 971246,' artifacts/model_3n2b_fwd.json

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "forge/synth.hh"
 #include "proto/machine.hh"
@@ -51,49 +51,6 @@ formatOp(const runtime::Op &op)
         break;
     }
     return os.str();
-}
-
-void
-appendJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-appendViolation(std::ostream &os, const Violation &v,
-                const char *indent)
-{
-    os << indent << "{\"kind\": ";
-    appendJsonString(os, toString(v.kind));
-    os << ", \"block\": " << v.block << ", \"when\": " << v.when
-       << ", \"nodes\": [";
-    for (std::size_t i = 0; i < v.nodes.size(); ++i)
-        os << (i ? ", " : "") << static_cast<unsigned>(v.nodes[i]);
-    os << "], \"detail\": ";
-    appendJsonString(os, v.detail);
-    os << ", \"history\": [";
-    for (std::size_t i = 0; i < v.history.size(); ++i) {
-        os << (i ? ", " : "");
-        appendJsonString(os, v.history[i]);
-    }
-    os << "]}";
 }
 
 /**
@@ -401,7 +358,7 @@ writeReport(const FuzzReport &report, const FuzzOptions &opts,
         os << "     \"violations\": [";
         for (std::size_t v = 0; v < f.result.violations.size(); ++v) {
             os << (v ? ",\n       " : "");
-            appendViolation(os, f.result.violations[v], "");
+            f.result.violations[v].appendJson(os);
         }
         os << "],\n     \"reproducer\": [";
         for (std::size_t r = 0; r < f.reproducer.size(); ++r) {

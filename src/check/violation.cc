@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace cosmos::check
 {
 
@@ -45,6 +47,25 @@ Violation::format() const
             os << "\n    " << h;
     }
     return os.str();
+}
+
+void
+Violation::appendJson(std::ostream &os) const
+{
+    os << "{\"kind\": ";
+    appendJsonString(os, toString(kind));
+    os << ", \"block\": " << block << ", \"when\": " << when
+       << ", \"nodes\": [";
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        os << (i ? ", " : "") << static_cast<unsigned>(nodes[i]);
+    os << "], \"detail\": ";
+    appendJsonString(os, detail);
+    os << ", \"history\": [";
+    for (std::size_t i = 0; i < history.size(); ++i) {
+        os << (i ? ", " : "");
+        appendJsonString(os, history[i]);
+    }
+    os << "]}";
 }
 
 } // namespace cosmos::check

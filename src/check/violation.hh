@@ -13,6 +13,7 @@
 #ifndef COSMOS_CHECK_VIOLATION_HH
 #define COSMOS_CHECK_VIOLATION_HH
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,10 @@ struct Violation
 
     /** Multi-line human rendering (detail + message history). */
     std::string format() const;
+
+    /** Write the JSON object the model and fuzz artifacts carry:
+     *  kind, block, when, nodes, detail, history. */
+    void appendJson(std::ostream &os) const;
 };
 
 /** "block 0x40 nodes [1, 3]"-style one-liner used inside reports. */

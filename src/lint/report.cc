@@ -1,39 +1,14 @@
 #include "lint/report.hh"
 
-#include <cstdio>
 #include <sstream>
+
+#include "common/json.hh"
 
 namespace cosmos::lint
 {
 
 namespace
 {
-
-// JSON string escaping, duplicated from model/report.cc's
-// file-private helper (kept local on both sides: the report writers
-// evolve independently).
-void
-appendJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
 
 std::size_t
 countUnreachable(const proto::ProtocolTable &t)

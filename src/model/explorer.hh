@@ -34,6 +34,12 @@
  * maxStates cut-off and every count match a serial search bit for
  * bit. Only the merge touches the visited set; workers read just the
  * batch states' arena bytes, which never move.
+ *
+ * The declared proto::ProtocolTable is the only transition table.
+ * The merge counts each distinct handler sample; after the search
+ * each resolves once to the row its dispatch matched, adds its count
+ * to that row's hits, and is checked against the row's declared next
+ * state and emissions.
  */
 
 #ifndef COSMOS_MODEL_EXPLORER_HH
@@ -45,7 +51,7 @@
 
 #include "check/violation.hh"
 #include "model/state.hh"
-#include "model/table.hh"
+#include "proto/messages.hh"
 
 namespace cosmos::model
 {
@@ -83,6 +89,32 @@ struct Counterexample
     std::vector<std::vector<std::string>> rowTrace;
 };
 
+/**
+ * One disagreement between a sample and the declared row its dispatch
+ * matched: a handler body doing something its row does not declare,
+ * or the search reaching a row declared unreachable.
+ */
+struct ConsistencyFinding
+{
+    enum class Kind : std::uint8_t
+    {
+        /** A sample no declared row covers -- the dispatch itself
+         *  would have trapped, so this flags find/guard drift. */
+        undeclared_transition,
+        /** A sample matched a declared-unreachable marker row. */
+        unreachable_reached,
+        /** Observed (next state, emissions) differ from the declared
+         *  row's (next, emits). */
+        outcome_mismatch,
+    };
+
+    Kind kind{};
+    proto::Role role{};
+    std::string detail;
+
+    static const char *toString(Kind k);
+};
+
 /** Outcome of one exploration. */
 struct ExploreResult
 {
@@ -94,15 +126,21 @@ struct ExploreResult
     bool complete = true;        ///< false if maxStates was hit
 
     std::vector<Counterexample> counterexamples;
-    TransitionTable table;
-    /** Diff of the extracted table against the declared
-     *  proto::ProtocolTable the controllers dispatch through (see
-     *  TransitionTable::diffAgainstDeclared). */
+    /** Merged handler invocations per declared row, indexed like the
+     *  rows of proto::ProtocolTable::build(mc.machineConfig()). */
+    std::vector<std::uint64_t> rowHits;
+    /** Samples that disagree with their declared row, ordered by
+     *  (role, state, input, rendered guard), then by observed (next
+     *  state, emitted types). Completing rows served from the "q"
+     *  backlog are exempt from the outcome check: the directory
+     *  re-serves the queued request inside the same atomic step, so
+     *  the sample's post state and emissions include the follow-on
+     *  transaction by design. */
     std::vector<ConsistencyFinding> consistency;
 
     bool clean() const { return counterexamples.empty() && complete; }
 
-    /** True when the extracted table matches the declared one. */
+    /** True when every sample matched its declared row. */
     bool consistent() const { return consistency.empty(); }
 };
 

@@ -1,71 +1,15 @@
 #include "model/report.hh"
 
-#include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "common/config.hh"
+#include "common/json.hh"
+#include "proto/transition_table.hh"
 
 namespace cosmos::model
 {
-
-namespace
-{
-
-// JSON string escaping, duplicated from check/fuzzer.cc's
-// file-private helper (kept local on both sides: the two report
-// writers evolve independently).
-void
-appendJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-appendViolation(std::ostream &os, const check::Violation &v)
-{
-    os << "{\"kind\": ";
-    appendJsonString(os, check::toString(v.kind));
-    os << ", \"block\": " << v.block << ", \"when\": " << v.when
-       << ", \"nodes\": [";
-    for (std::size_t i = 0; i < v.nodes.size(); ++i)
-        os << (i ? ", " : "") << static_cast<unsigned>(v.nodes[i]);
-    os << "], \"detail\": ";
-    appendJsonString(os, v.detail);
-    os << ", \"history\": [";
-    for (std::size_t i = 0; i < v.history.size(); ++i) {
-        os << (i ? ", " : "");
-        appendJsonString(os, v.history[i]);
-    }
-    os << "]}";
-}
-
-const char *
-stateName(Module m, std::uint8_t st)
-{
-    if (m == Module::cache)
-        return proto::toString(static_cast<proto::LineState>(st));
-    return toString(static_cast<DirAbstract>(st));
-}
-
-} // namespace
 
 std::string
 renderReport(const ModelConfig &mc, const ExploreResult &res)
@@ -88,19 +32,12 @@ renderReport(const ModelConfig &mc, const ExploreResult &res)
        << ", deadlocks: " << res.deadlocks
        << ", trapped assertions: " << res.failedSteps << "\n";
 
-    const auto lint = res.table.lint();
-    os << "lint findings: " << lint.size() << "\n";
-    for (const LintFinding &f : lint) {
-        os << "  [" << LintFinding::toString(f.kind) << "] "
-           << toString(f.module) << ": " << f.detail << "\n";
-    }
-
     os << "declared-table consistency: "
        << (res.consistent() ? "ok" : "DIVERGED") << " ("
        << res.consistency.size() << " findings)\n";
     for (const ConsistencyFinding &f : res.consistency) {
         os << "  [" << ConsistencyFinding::toString(f.kind) << "] "
-           << toString(f.module) << ": " << f.detail << "\n";
+           << proto::toString(f.role) << ": " << f.detail << "\n";
     }
 
     for (const Counterexample &ce : res.counterexamples) {
@@ -112,7 +49,23 @@ renderReport(const ModelConfig &mc, const ExploreResult &res)
             os << "  step " << i++ << ": " << a.format() << "\n";
     }
 
-    os << "\n" << res.table.format();
+    const proto::ProtocolTable declared =
+        proto::ProtocolTable::build(mc.machineConfig());
+    std::ostringstream rows;
+    std::size_t live = 0;
+    std::size_t hit = 0;
+    for (std::size_t i = 0; i < declared.rows().size(); ++i) {
+        const proto::TransitionRow &r = declared.rows()[i];
+        if (r.unreachable)
+            continue;
+        ++live;
+        hit += res.rowHits[i] != 0 ? 1 : 0;
+        rows << std::setw(10) << res.rowHits[i] << "  " << r.where()
+             << "  " << r.format() << "\n";
+    }
+    os << "\ndeclared rows: " << hit << " of " << live
+       << " live rows hit\n"
+       << rows.str();
     return os.str();
 }
 
@@ -124,7 +77,7 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
     if (!os)
         return false;
 
-    os << "{\n  \"format\": \"cosmos-model-v1\",\n";
+    os << "{\n  \"format\": \"cosmos-model-v2\",\n";
     os << "  \"config\": {\"nodes\": "
        << static_cast<unsigned>(mc.numNodes)
        << ", \"blocks\": " << mc.numBlocks
@@ -144,53 +97,22 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
     os << "  \"deadlocks\": " << res.deadlocks << ",\n";
     os << "  \"failed_steps\": " << res.failedSteps << ",\n";
 
-    os << "  \"table\": {\"entries\": [";
-    bool firstEntry = true;
-    std::size_t nondet = 0;
-    for (const auto &[key, entry] : res.table.entries()) {
-        os << (firstEntry ? "" : ",") << "\n    {\"module\": ";
-        appendJsonString(os, toString(key.module));
-        os << ", \"state\": ";
-        appendJsonString(os, stateName(key.module, key.state));
-        os << ", \"input\": ";
-        appendJsonString(os, inputName(key.input));
-        os << ", \"context\": ";
-        appendJsonString(os, key.context);
-        os << ", \"hits\": " << entry.hits << ", \"outcomes\": [";
-        bool firstOutcome = true;
-        for (const Outcome &o : entry.outcomes) {
-            os << (firstOutcome ? "" : ", ") << "{\"next\": ";
-            appendJsonString(os, stateName(key.module, o.next));
-            os << ", \"emits\": [";
-            for (std::size_t i = 0; i < o.emissions.size(); ++i) {
-                os << (i ? ", " : "");
-                appendJsonString(os, proto::toString(o.emissions[i]));
-            }
-            os << "]}";
-            firstOutcome = false;
-        }
-        os << "]}";
-        firstEntry = false;
+    os << "  \"rows\": [";
+    const proto::ProtocolTable declared =
+        proto::ProtocolTable::build(mc.machineConfig());
+    bool firstRow = true;
+    for (std::size_t i = 0; i < declared.rows().size(); ++i) {
+        const proto::TransitionRow &r = declared.rows()[i];
+        if (r.unreachable)
+            continue;
+        os << (firstRow ? "" : ",") << "\n    {\"where\": ";
+        appendJsonString(os, r.where());
+        os << ", \"row\": ";
+        appendJsonString(os, r.format());
+        os << ", \"hits\": " << res.rowHits[i] << "}";
+        firstRow = false;
     }
-    for (const TableKey *k : res.table.nondeterministicKeys()) {
-        (void)k;
-        ++nondet;
-    }
-    os << (firstEntry ? "]" : "\n  ]") << ", \"nondeterministic\": "
-       << nondet << "},\n";
-
-    os << "  \"lint\": [";
-    const auto lint = res.table.lint();
-    for (std::size_t i = 0; i < lint.size(); ++i) {
-        os << (i ? "," : "") << "\n    {\"kind\": ";
-        appendJsonString(os, LintFinding::toString(lint[i].kind));
-        os << ", \"module\": ";
-        appendJsonString(os, toString(lint[i].module));
-        os << ", \"detail\": ";
-        appendJsonString(os, lint[i].detail);
-        os << "}";
-    }
-    os << (lint.empty() ? "]" : "\n  ]") << ",\n";
+    os << (firstRow ? "]" : "\n  ]") << ",\n";
 
     os << "  \"consistent\": "
        << (res.consistent() ? "true" : "false") << ",\n";
@@ -200,7 +122,7 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
         os << (i ? "," : "") << "\n    {\"kind\": ";
         appendJsonString(os, ConsistencyFinding::toString(f.kind));
         os << ", \"module\": ";
-        appendJsonString(os, toString(f.module));
+        appendJsonString(os, proto::toString(f.role));
         os << ", \"detail\": ";
         appendJsonString(os, f.detail);
         os << "}";
@@ -210,7 +132,7 @@ writeReportJson(const std::string &path, const ModelConfig &mc,
     os << "  \"violations\": [";
     for (std::size_t i = 0; i < res.counterexamples.size(); ++i) {
         os << (i ? "," : "") << "\n    ";
-        appendViolation(os, res.counterexamples[i].violation);
+        res.counterexamples[i].violation.appendJson(os);
     }
     os << (res.counterexamples.empty() ? "]" : "\n  ]") << "\n}\n";
     return static_cast<bool>(os);

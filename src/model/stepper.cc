@@ -193,18 +193,6 @@ Stepper::readBack(GlobalState &out)
     }
 }
 
-DirAbstract
-Stepper::dirAbstract(const proto::DirEntrySnapshot &e) const
-{
-    if (!e.busy)
-        return static_cast<DirAbstract>(e.state);
-    if (e.recall)
-        return DirAbstract::busy_recall;
-    return e.current.type == proto::MsgType::get_ro_request
-               ? DirAbstract::busy_read
-               : DirAbstract::busy_write;
-}
-
 proto::DirEntrySnapshot
 Stepper::dirEntry(NodeId n, Addr block)
 {
@@ -271,44 +259,36 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
     while (at < worklist.size()) {
         const proto::Msg m = worklist[at++];
         Sample sample;
-        if (receiverRole(m.type) == proto::Role::cache) {
-            sample.module = Module::cache;
-            sample.input = static_cast<std::uint8_t>(m.type);
+        sample.role = receiverRole(m.type);
+        sample.input = static_cast<std::uint8_t>(m.type);
+        if (sample.role == proto::Role::cache) {
             sample.pre = static_cast<std::uint8_t>(
                 caches_[m.dst]->state(m.block));
             // The guard bits are exactly what the controller's own
             // dispatch derives (the forwarded mark and, for recalls,
-            // the wanted copy kind -- message state, not cache state);
-            // their canonical rendering is the table key's context,
-            // so the extracted rows stay deterministic and the
-            // consistency diff can match samples back to declared
-            // rows.
+            // the wanted copy kind -- message state, not cache state),
+            // so each sample resolves to the row its dispatch
+            // matched.
             sample.guard = proto::cacheMsgGuard(m);
-            sample.row = table_.find(proto::Role::cache, sample.pre,
-                                     sample.input, sample.guard);
             cacheTouched_ |= 1u << m.dst;
             caches_[m.dst]->handleMessage(m);
             drainInto(sample, worklist, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
                 caches_[m.dst]->state(m.block));
         } else {
-            sample.module = Module::directory;
-            sample.input = static_cast<std::uint8_t>(m.type);
-            const proto::DirEntrySnapshot pre = dirEntry(m.dst, m.block);
-            sample.pre = static_cast<std::uint8_t>(dirAbstract(pre));
+            const proto::DirGuardView pre =
+                viewOf(dirEntry(m.dst, m.block));
+            sample.pre = static_cast<std::uint8_t>(proto::dirPhaseOf(pre));
             // Same single source of truth as the cache branch: the
             // guard predicates over the directory's hidden state (ack
             // counts, the genuineUpgrade latch, forward-in-flight
             // flags, the FIFO backlog) live in dirMsgGuard.
-            sample.guard =
-                proto::dirMsgGuard(viewOf(pre), m.type, m.src);
-            sample.row = table_.find(proto::Role::directory, sample.pre,
-                                     sample.input, sample.guard);
+            sample.guard = proto::dirMsgGuard(pre, m.type, m.src);
             dirTouched_ |= 1u << m.dst;
             dirs_[m.dst]->handleMessage(m);
             drainInto(sample, worklist, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
-                dirAbstract(dirEntry(m.dst, m.block)));
+                proto::dirPhaseOf(viewOf(dirEntry(m.dst, m.block))));
         }
         out.samples.push_back(sample);
     }
@@ -345,14 +325,12 @@ Stepper::step(const GlobalState &s, const Action &a, Result &out)
         } else {
             const bool write = a.kind == Action::Kind::issue_write;
             Sample sample;
-            sample.module = Module::cache;
-            sample.input = write ? input_proc_write : input_proc_read;
+            sample.role = proto::Role::cache;
+            sample.input =
+                write ? proto::input_proc_write : proto::input_proc_read;
             const Addr addr = mc_.blockAddr(a.blockIdx);
             sample.pre = static_cast<std::uint8_t>(
                 caches_[a.node]->state(addr));
-            sample.row =
-                table_.find(proto::Role::cache, sample.pre,
-                            sample.input, proto::guard_none);
             cacheTouched_ |= 1u << a.node;
             caches_[a.node]->access(addr, write, []() {});
             drainInto(sample, worklist, work, a.node);

@@ -47,11 +47,37 @@
 
 #include "common/addr.hh"
 #include "model/state.hh"
-#include "model/table.hh"
+#include "proto/cache_controller.hh"
+#include "proto/directory_controller.hh"
+#include "proto/transition_table.hh"
 #include "sim/event_queue.hh"
 
 namespace cosmos::model
 {
+
+static_assert(proto::num_msg_types <= 16,
+              "Sample::emissions is a 16-bit mask of message types");
+
+/**
+ * One handler invocation, in the declared table's terms: the role
+ * that ran, the addressed block's state before and after the atomic
+ * step (a LineState, or a proto::DirPhase for the directory), the
+ * input (a MsgType or proto::input_proc_*), and the guard bits the
+ * dispatch derived. The row it dispatched through is
+ * ProtocolTable::find of (role, pre, input, guard).
+ */
+struct Sample
+{
+    proto::Role role{};
+    std::uint8_t pre = 0;
+    std::uint8_t post = 0;
+    std::uint8_t input = 0;
+    proto::GuardBits guard = proto::guard_none;
+    /** Bit t set when the handler emitted a message of type t
+     *  (multiplicities and order abstracted away, like a row's
+     *  emits). */
+    std::uint16_t emissions = 0;
+};
 
 /** Executes single model transitions against the live controllers. */
 class Stepper
@@ -81,7 +107,7 @@ class Stepper
     const MachineConfig &machineConfig() const { return cfg_; }
 
     /** The declared transition table the controllers dispatch
-     *  through; Sample::row points into it. */
+     *  through. */
     const proto::ProtocolTable &table() const { return table_; }
 
   private:
@@ -101,7 +127,6 @@ class Stepper
     CompactMsg fromMsg(const proto::Msg &m) const;
     unsigned blockIdx(Addr block) const;
 
-    DirAbstract dirAbstract(const proto::DirEntrySnapshot &e) const;
     /** Find (or default) the pre-handler entry snapshot of a block. */
     proto::DirEntrySnapshot dirEntry(NodeId n, Addr block);
 

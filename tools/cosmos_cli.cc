@@ -22,9 +22,10 @@
  *   model [options]              exhaustively enumerate every
  *                                reachable protocol state of a small
  *                                configuration (src/model), check
- *                                safety invariants, lint the observed
- *                                transition table, and diff it
- *                                against the declared one
+ *                                safety invariants, count the hits
+ *                                of every declared transition row,
+ *                                and check each observed transition
+ *                                against its row
  *   lint [options]               statically analyze the declared
  *                                transition table (src/lint): no
  *                                exploration, just the rows --
@@ -45,10 +46,10 @@
  *   --out FILE       write the cosmos-lint-v1 JSON artifact
  *
  * Model options:
- *   --nodes N        nodes in the modeled machine (default 2)
- *   --blocks N       modeled blocks (default 1)
+ *   --nodes N        nodes in the modeled machine, 2..4 (default 2)
+ *   --blocks N       modeled blocks, 1..2 (default 1)
  *   --reorder K      allow a delivery to overtake up to K earlier
- *                    messages on its channel (default 0 = the
+ *                    messages on its channel, 0..7 (default 0 = the
  *                    simulator's FIFO contract)
  *   --max-states N   abort (as a liveness failure) past N states
  *                    (a decimal integer, at least 1)
@@ -73,7 +74,9 @@
  *   --inject-ignore-inval N
  *                    plant the lost-invalidation bug (the checker
  *                    must find an SWMR counterexample)
- *   --out FILE       write the cosmos-model-v1 JSON artifact
+ *   --out FILE       write the cosmos-model-v2 JSON artifact: the
+ *                    verdicts, every live declared row with its hit
+ *                    count, and the consistency findings
  *   --counterexample-out FILE
  *                    write the first counterexample as a replayable
  *                    schedule (cosmos fuzz --replay-model FILE)
@@ -151,6 +154,7 @@
  */
 
 #include <charconv>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -315,6 +319,15 @@ parse(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // A size flag's value: a plain decimal integer; the command
+        // checks its range.
+        auto count = [&]() {
+            const char *v = value();
+            const auto n = decimalIn(v, 0, UINT_MAX);
+            if (!n)
+                badFlagValue(args, flag.c_str(), "a decimal integer", v);
+            return static_cast<unsigned>(*n);
+        };
         if (flag == "--iterations") {
             args.iterations = std::atoi(value());
         } else if (flag == "--seed") {
@@ -354,19 +367,17 @@ parse(int argc, char **argv)
             args.haveReplay = true;
             args.replaySeed = std::strtoull(value(), nullptr, 0);
         } else if (flag == "--nodes") {
-            args.fuzzNodes = static_cast<unsigned>(std::atoi(value()));
+            args.fuzzNodes = count();
             args.haveNodes = true;
         } else if (flag == "--blocks") {
-            args.fuzzBlocks =
-                static_cast<unsigned>(std::atoi(value()));
+            args.fuzzBlocks = count();
             args.haveBlocks = true;
         } else if (flag == "--ops") {
             args.fuzzOps = static_cast<unsigned>(std::atoi(value()));
         } else if (flag == "--jitter") {
             args.fuzzJitter = std::strtoull(value(), nullptr, 0);
         } else if (flag == "--inject-ignore-inval") {
-            args.injectIgnoreInval =
-                static_cast<unsigned>(std::atoi(value()));
+            args.injectIgnoreInval = count();
         } else if (flag == "--replay-model") {
             args.replayModel = value();
         } else if (flag == "--forge-mix") {
@@ -383,8 +394,7 @@ parse(int argc, char **argv)
         } else if (flag == "--accesses") {
             args.genAccesses = std::strtoull(value(), nullptr, 0);
         } else if (flag == "--reorder") {
-            args.modelReorder =
-                static_cast<unsigned>(std::atoi(value()));
+            args.modelReorder = count();
         } else if (flag == "--max-states") {
             const char *v = value();
             const auto n = decimalIn(v, 1, SIZE_MAX);
@@ -865,6 +875,22 @@ replayModelCounterexample(const CliArgs &args)
 int
 cmdModel(const CliArgs &args)
 {
+    // Reject sizes the model cannot hold before exploring, by flag
+    // (ModelConfig::validate is the library's own guard).
+    const auto checkRange = [&](const char *flag, unsigned v,
+                                unsigned lo, unsigned hi) {
+        if (v < lo || v > hi)
+            badFlagValue(args, flag,
+                         detail::concat("a decimal integer in [", lo,
+                                        ", ", hi, "]"),
+                         std::to_string(v).c_str());
+    };
+    if (args.haveNodes)
+        checkRange("--nodes", args.fuzzNodes, 2, model::max_nodes);
+    if (args.haveBlocks)
+        checkRange("--blocks", args.fuzzBlocks, 1, model::max_blocks);
+    checkRange("--reorder", args.modelReorder, 0, model::max_queue - 1);
+
     model::ExploreOptions opt;
     opt.mc.numNodes = static_cast<NodeId>(args.haveNodes
                                               ? args.fuzzNodes
