@@ -43,9 +43,8 @@ struct GuardTag
     const char *name;
 };
 
-/** Canonical rendering order; must match the append order of the
- *  model stepper's context tags so guardContext() reproduces a
- *  stepper context string byte-for-byte. */
+/** Canonical rendering order of guardContext(): row text and the
+ *  order of the model checker's consistency findings depend on it. */
 constexpr GuardTag guard_tags[] = {
     {guard_queued, "queued"},
     {guard_sharer, "sharer"},
@@ -78,30 +77,6 @@ guardContext(GuardBits g)
         s += t.name;
     }
     return s;
-}
-
-GuardBits
-guardFromContext(const std::string &context)
-{
-    GuardBits g = guard_none;
-    std::size_t at = 0;
-    while (at < context.size()) {
-        std::size_t end = context.find('+', at);
-        if (end == std::string::npos)
-            end = context.size();
-        const std::string tag = context.substr(at, end - at);
-        bool known = false;
-        for (const GuardTag &t : guard_tags) {
-            if (tag == t.name) {
-                g |= t.bit;
-                known = true;
-                break;
-            }
-        }
-        cosmos_assert(known, "unknown guard tag '", tag, "'");
-        at = end + 1;
-    }
-    return g;
 }
 
 GuardBits
@@ -241,15 +216,30 @@ TransitionRow::where() const
 std::string
 TransitionRow::format() const
 {
+    const std::string key = formatRowKey(role, state, input, guard);
+    if (unreachable)
+        return key + " : unreachable";
+    return detail::concat(key, " ", formatRowOutcome(role, next, emits));
+}
+
+std::string
+formatRowKey(Role role, std::uint8_t state, std::uint8_t input,
+             GuardBits guard)
+{
     std::string s = detail::concat(toString(role), " ",
                                    ProtocolTable::stateName(role, state),
                                    " x ", tableInputName(input));
     if (guard != guard_none)
         s += detail::concat(" [", guardContext(guard), "]");
-    if (unreachable)
-        return s + " : unreachable";
-    s += detail::concat(" -> ",
-                        ProtocolTable::stateName(role, next));
+    return s;
+}
+
+std::string
+formatRowOutcome(Role role, std::uint8_t next,
+                 const std::vector<MsgType> &emits)
+{
+    std::string s =
+        detail::concat("-> ", ProtocolTable::stateName(role, next));
     if (!emits.empty()) {
         s += " !";
         for (MsgType t : emits)

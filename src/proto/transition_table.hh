@@ -5,13 +5,11 @@
  *
  * Each TransitionRow binds `(role, state, input, guard)` to a named
  * action, a declared next state, and the declared emission signature.
- * The controllers in cache_controller.cc / directory_controller.cc no
- * longer decide *what* to do -- they look the row up here and run the
+ * The controllers in cache_controller.cc / directory_controller.cc do
+ * not decide *what* to do -- they look the row up here and run the
  * action it names; the handler bodies are reduced to those named
- * action functions. PR 5's model-checker extraction
- * (model/table.{hh,cc}) is thereby inverted: instead of deriving the
- * table from execution, the model checker re-derives it and diffs it
- * against this declared one (TransitionTable::diffAgainstDeclared).
+ * action functions. The model checker counts how often each row
+ * fires and checks every observed transition against its row.
  *
  * Rows carry provenance (__LINE__ of the declaring entry in
  * transition_table.cc) so lint findings and model-checker
@@ -34,13 +32,13 @@
  *                 channel-discipline check. Cross-validated
  *                 dynamically: if the assumption were wrong the model
  *                 checker would reach the (next-state, input) pair and
- *                 the consistency diff would flag it.
+ *                 its consistency check would flag it.
  *
  * Guards are small orthogonal predicates over module-local hidden
  * state (directory ack counts, FIFO backlog, the forwarded mark on a
- * message). Their '+'-joined rendering reproduces the model stepper's
- * context tags byte-for-byte, which is what lets the consistency diff
- * match extracted samples to declared rows.
+ * message). The controllers and the model stepper derive them through
+ * the same functions (cacheMsgGuard, dirMsgGuard), so a model sample
+ * resolves to the row its dispatch matched.
  */
 
 #ifndef COSMOS_PROTO_TRANSITION_TABLE_HH
@@ -60,9 +58,8 @@ namespace cosmos::proto
 /**
  * Abstract directory phase a table row keys on. Quiescent values
  * (idle/shared/exclusive) coincide numerically with proto::DirState;
- * busy entries are split by what the transaction waits for, exactly
- * the abstraction the model checker uses (model::DirAbstract mirrors
- * this enum value-for-value).
+ * busy entries are split by what the transaction waits for. The
+ * model checker's directory samples use it as their state.
  */
 enum class DirPhase : std::uint8_t
 {
@@ -90,12 +87,7 @@ constexpr unsigned num_table_inputs = num_msg_types + 2;
 /** Printable input name ("get_ro_request", "proc_read", ...). */
 const char *tableInputName(std::uint8_t input);
 
-/**
- * Guard predicates, one bit each. The canonical rendering order in
- * guardContext() matches the append order of the model stepper's
- * context tags, so `guardContext(bits)` reproduces a stepper context
- * string exactly and `guardFromContext` inverts it.
- */
+/** Guard predicates, one bit each. */
 using GuardBits = std::uint32_t;
 constexpr GuardBits guard_none = 0;
 /** Directory entry busy: the request joins the FIFO backlog. */
@@ -127,10 +119,6 @@ constexpr GuardBits guard_q = 1u << 14;
 /** Render guard bits as the canonical '+'-joined context string. */
 std::string guardContext(GuardBits g);
 
-/** Parse a stepper context string back to guard bits; panics on an
- *  unknown tag. */
-GuardBits guardFromContext(const std::string &context);
-
 /** Guard bits a cache derives from an incoming message (the forwarded
  *  mark and, for recalls, the wanted copy kind). */
 GuardBits cacheMsgGuard(const Msg &m);
@@ -158,7 +146,7 @@ struct DirGuardView
 /** Guard bits the directory derives for message @p t from @p src. */
 GuardBits dirMsgGuard(const DirGuardView &v, MsgType t, NodeId src);
 
-/** Abstract phase of a directory entry (model::DirAbstract mirror). */
+/** Abstract phase of a directory entry. */
 DirPhase dirPhaseOf(const DirGuardView &v);
 
 /**
@@ -236,14 +224,15 @@ struct TransitionRow
     ActionId action = ActionId::none;
     std::uint8_t next = 0;
     /** Declared emission signature (sorted, deduplicated; multiplicity
-     *  abstracted away, matching the extractor's Outcome). */
+     *  abstracted away, like the model checker's emission masks). */
     std::vector<MsgType> emits;
     Via via = Via::home;
     /** The pair cannot occur; dispatch() panics if it does. */
     bool unreachable = false;
     /** The row also matches with guard_q set (backlog service makes
-     *  next state and emissions dynamic; the consistency diff skips
-     *  the outcome compare for such samples). */
+     *  next state and emissions dynamic; the model checker's
+     *  consistency check skips completing rows' outcome compare for
+     *  such samples). */
     bool allowQ = false;
     /** Finishes a transaction; see file header. */
     bool completes = false;
@@ -260,6 +249,16 @@ struct TransitionRow
     /** "cache read_only x inval_ro_request -> invalid ! inval_ro_response" */
     std::string format() const;
 };
+
+/** "cache read_only x inval_ro_request [fwd]": the key part of a
+ *  row's format(), for any (role, state, input, guard). */
+std::string formatRowKey(Role role, std::uint8_t state,
+                         std::uint8_t input, GuardBits guard);
+
+/** "-> invalid ! inval_ro_response": the outcome part of a live
+ *  row's format(). */
+std::string formatRowOutcome(Role role, std::uint8_t next,
+                             const std::vector<MsgType> &emits);
 
 /**
  * The full declared table for one machine configuration. Rows are
