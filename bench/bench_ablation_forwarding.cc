@@ -35,7 +35,6 @@
 #include "common/table.hh"
 #include "cosmos/predictor_bank.hh"
 #include "accel/speedup_model.hh"
-#include "harness/accel_runner.hh"
 #include "harness/experiment.hh"
 
 namespace

@@ -18,7 +18,6 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "harness/accel_runner.hh"
 #include "harness/experiment.hh"
 
 int

@@ -44,7 +44,9 @@ done
 # Observability smoke: a sweep must emit a valid, stable metrics
 # document and a loadable Chrome trace-event file. The metrics export
 # contains only stable (thread-count-independent) metrics, so the
-# --threads 1 and --threads 2 documents must be byte-identical.
+# --threads 1 and --threads 2 documents must be byte-identical. The
+# trace must hold one replay.cell span per cell of the 4 x 3 grid,
+# with none dropped -- an empty but well-formed trace fails.
 mkdir -p artifacts
 ./build/tools/cosmos sweep micro_migratory --threads 2 \
     --metrics-out artifacts/metrics_sweep.json \
@@ -56,6 +58,15 @@ python3 scripts/check_json.py --schema metrics \
     artifacts/metrics_sweep.json
 python3 scripts/check_json.py --schema chrome-trace \
     artifacts/trace_sweep.json
+python3 - artifacts/trace_sweep.json <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+cells = sum(e["name"] == "replay.cell" for e in doc["traceEvents"])
+dropped = doc["otherData"]["dropped_events"]
+if cells != 12 or dropped != 0:
+    sys.exit(f"trace_sweep.json: {cells} replay.cell spans (want 12), "
+             f"{dropped} dropped (want 0)")
+EOF
 python3 scripts/check_json.py build/BENCH_*.json
 python3 scripts/check_json.py --schema forwarding \
     build/BENCH_forwarding.json
@@ -321,19 +332,21 @@ echo "== artifact: artifacts/perfbench_replay_grid.txt"
 # one staged chunk concurrently) -- both directly and through
 # SweepEngine::replayTrace on the full dsmc trace -- and the model
 # checker's workers, which step their own controllers while reading
-# the shared visited set.
+# the shared visited set -- and the span recorder, whose sweep cells
+# record on pool workers while tracing is on.
 # shellcheck disable=SC2046
 cmake -B build-tsan $(gen_for build-tsan) -DCOSMOS_TSAN=ON
 cmake --build build-tsan --target replay_test harness_test batch_test \
-    model_test
+    model_test obs_test
 start=$(now_ms)
 ./build-tsan/tests/replay_test
 ./build-tsan/tests/harness_test --gtest_filter='TraceCache.*'
 ./build-tsan/tests/batch_test --gtest_filter='ShardedBank.*'
 ./build-tsan/tests/model_test \
     --gtest_filter='Explore.ThreadCountDoesNotChangeResults:Stepper.ReusedStepperMatchesFreshOne'
-echo "== tsan replay/trace-cache/sharded-bank/model-explorer suites" \
-     "($(($(now_ms) - start)) ms)"
+./build-tsan/tests/obs_test --gtest_filter='Tracing.*'
+echo "== tsan replay/trace-cache/sharded-bank/model-explorer/tracing" \
+     "suites ($(($(now_ms) - start)) ms)"
 
 # AddressSanitizer + UBSan pass over the simulator, protocol, checker,
 # and model suites: the model checker snapshots/restores live

@@ -70,8 +70,10 @@ InvariantEngine::report(Violation v)
         return;
     }
     v.history = historySnapshot();
-    COSMOS_INSTANT("check", "violation", "block",
-                   static_cast<std::uint64_t>(v.block));
+    {
+        // A zero-length span marks the violation on the timeline.
+        const obs::Span mark("check.violation", "block", v.block);
+    }
     violations_.push_back(std::move(v));
 }
 

@@ -21,10 +21,9 @@
  *
  * Violations are recorded as structured check::Violation values
  * carrying the block, the implicated nodes, the states seen, and the
- * last-k delivered messages -- kept raw in a fixed ring, the same
- * ring-buffer discipline the obs tracing layer uses, and rendered to
- * text only when a violation is recorded -- rather than aborting the
- * process. Assertion failures inside the protocol are folded in
+ * last-k delivered messages -- kept raw in a fixed ring and rendered
+ * to text only when a violation is recorded -- rather than aborting
+ * the process. Assertion failures inside the protocol are folded in
  * through the common/log FailureTrap.
  */
 

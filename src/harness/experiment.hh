@@ -4,7 +4,10 @@
  * workload kernel on it, and capture the coherence-message trace the
  * predictor evaluations consume. This is the reproduction of the
  * paper's methodology pipeline (§5): WWT II simulation -> Stache
- * message traces -> offline Cosmos evaluation.
+ * message traces -> offline Cosmos evaluation. runAccelerated() runs
+ * the same pipeline with an OnlineAccelerator attached (§4.1), and
+ * runTraffic() (harness/traffic.hh) feeds it from a traffic source;
+ * all three share one run loop.
  */
 
 #ifndef COSMOS_HARNESS_EXPERIMENT_HH
@@ -13,6 +16,7 @@
 #include <memory>
 #include <string>
 
+#include "accel/online.hh"
 #include "common/config.hh"
 #include "net/network_stats.hh"
 #include "obs/metrics.hh"
@@ -83,6 +87,26 @@ RunResult runWorkload(const RunConfig &cfg);
 
 /** Run a caller-constructed workload instance. */
 RunResult runWorkload(const RunConfig &cfg, wl::Workload &workload);
+
+/** Result of an accelerated run. */
+struct AcceleratedRunResult
+{
+    RunResult run;
+    accel::OnlineStats accel;
+    /** Accuracy of the live predictors over the (accelerated)
+     *  message stream. */
+    double predictorAccuracyPercent = 0.0;
+};
+
+/** Run the named workload with the online accelerator attached, so
+ *  Cosmos predictions steer the directory live. */
+AcceleratedRunResult runAccelerated(const RunConfig &cfg,
+                                    const accel::OnlineOptions &opts);
+
+/** Run a caller-constructed workload with the accelerator attached. */
+AcceleratedRunResult runAccelerated(const RunConfig &cfg,
+                                    wl::Workload &workload,
+                                    const accel::OnlineOptions &opts);
 
 } // namespace cosmos::harness
 

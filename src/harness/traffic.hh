@@ -2,13 +2,14 @@
  * @file
  * Drive any forge::TrafficSource through the simulated machine.
  *
- * The twin of harness::runWorkload for the trace front door: instead
- * of a workload kernel emitting per-iteration programs, accesses are
- * pulled from a source in chunks, projected onto per-processor
- * programs (preserving each processor's order), and executed with a
- * global barrier between chunks. The captured coherence-message
- * trace is the same artifact a kernel run produces, so predictors,
- * census, sweeps, and benches consume it unchanged.
+ * The trace front door of harness::runWorkload's run loop (both are
+ * defined in harness/experiment.cc): instead of a workload kernel
+ * emitting per-iteration programs, accesses are pulled from a source
+ * in chunks, projected onto per-processor programs (preserving each
+ * processor's order), and executed with a global barrier between
+ * chunks. The captured coherence-message trace is the same artifact
+ * a kernel run produces, so predictors, census, sweeps, and benches
+ * consume it unchanged.
  */
 
 #ifndef COSMOS_HARNESS_TRAFFIC_HH

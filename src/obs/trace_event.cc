@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -20,21 +21,19 @@ std::atomic<bool> tracing_active{false};
 namespace
 {
 
-/** Events kept per thread; the ring overwrites the oldest beyond
- *  this, counting the drops. 64Ki events ~= 4 MB per thread. */
-constexpr std::size_t ring_capacity = std::size_t{1} << 16;
+/** Spans kept per thread; later ones are counted as dropped.
+ *  64Ki spans ~= 3.5 MB per thread. */
+constexpr std::size_t buffer_capacity = std::size_t{1} << 16;
 
 struct Event
 {
-    const char *cat;
     const char *name;
     const char *k0; ///< null = no argument
     const char *k1;
     std::uint64_t ts;  ///< ns since the trace epoch
-    std::uint64_t dur; ///< ns; 0 for instants
+    std::uint64_t dur; ///< ns
     std::uint64_t a0;
     std::uint64_t a1;
-    char ph; ///< 'X' complete, 'i' instant
 };
 
 /** One thread's recorder. Appends come only from the owning thread;
@@ -42,8 +41,7 @@ struct Event
 struct ThreadBuffer
 {
     std::mutex mutex;
-    std::vector<Event> ring;
-    std::size_t head = 0; ///< oldest element once the ring wrapped
+    std::vector<Event> events;
     std::uint64_t dropped = 0;
     int tid = 0;
 
@@ -51,22 +49,10 @@ struct ThreadBuffer
     append(const Event &e)
     {
         std::lock_guard<std::mutex> guard(mutex);
-        if (ring.size() < ring_capacity) {
-            ring.push_back(e);
-        } else {
-            ring[head] = e;
-            head = (head + 1) % ring_capacity;
+        if (events.size() < buffer_capacity)
+            events.push_back(e);
+        else
             ++dropped;
-        }
-    }
-
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> guard(mutex);
-        ring.clear();
-        head = 0;
-        dropped = 0;
     }
 };
 
@@ -106,10 +92,9 @@ epoch()
     return t0;
 }
 
-} // namespace
-
+/** Nanoseconds since the process-wide trace epoch. */
 std::uint64_t
-traceNowNs()
+nowNs()
 {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -117,63 +102,51 @@ traceNowNs()
             .count());
 }
 
+} // namespace
+
+void
+Span::open(const char *name, const char *arg_name0, std::uint64_t arg0,
+           const char *arg_name1, std::uint64_t arg1)
+{
+    name_ = name;
+    argName0_ = arg_name0;
+    arg0_ = arg0;
+    argName1_ = arg_name1;
+    arg1_ = arg1;
+    start_ = nowNs();
+}
+
+void
+Span::close()
+{
+    const std::uint64_t end = nowNs();
+    myBuffer().append(Event{name_, argName0_, argName1_, start_,
+                            end - start_, arg0_, arg1_});
+}
+
 void
 startTracing()
 {
-    epoch(); // pin the epoch before the first event
+    epoch(); // pin the epoch before the first span
     BufferRegistry &r = registry();
     {
         std::lock_guard<std::mutex> guard(r.mutex);
-        for (auto &b : r.buffers)
-            b->clear();
+        for (auto &b : r.buffers) {
+            std::lock_guard<std::mutex> bguard(b->mutex);
+            b->events.clear();
+            b->dropped = 0;
+        }
     }
     detail::tracing_active.store(true, std::memory_order_relaxed);
-}
-
-void
-stopTracing()
-{
-    detail::tracing_active.store(false, std::memory_order_relaxed);
-}
-
-void
-recordSpan(const char *cat, const char *name, std::uint64_t ts_ns,
-           std::uint64_t dur_ns, const char *arg_name0,
-           std::uint64_t arg0, const char *arg_name1,
-           std::uint64_t arg1)
-{
-    myBuffer().append(Event{cat, name, arg_name0, arg_name1, ts_ns,
-                            dur_ns, arg0, arg1, 'X'});
-}
-
-void
-recordInstant(const char *cat, const char *name, const char *arg_name0,
-              std::uint64_t arg0)
-{
-    myBuffer().append(
-        Event{cat, name, arg_name0, nullptr, traceNowNs(), 0, arg0, 0,
-              'i'});
-}
-
-std::uint64_t
-droppedEvents()
-{
-    BufferRegistry &r = registry();
-    std::lock_guard<std::mutex> guard(r.mutex);
-    std::uint64_t total = 0;
-    for (const auto &b : r.buffers) {
-        std::lock_guard<std::mutex> bguard(b->mutex);
-        total += b->dropped;
-    }
-    return total;
 }
 
 bool
 writeTrace(const std::string &path)
 {
-    stopTracing();
+    detail::tracing_active.store(false, std::memory_order_relaxed);
 
-    // Snapshot every buffer oldest-first, tagged with its tid.
+    // Drain every buffer, tagging each span with its tid: a later
+    // writeTrace() must not re-emit these.
     struct Tagged
     {
         Event e;
@@ -186,16 +159,10 @@ writeTrace(const std::string &path)
         std::lock_guard<std::mutex> guard(r.mutex);
         for (const auto &b : r.buffers) {
             std::lock_guard<std::mutex> bguard(b->mutex);
-            const std::size_t n = b->ring.size();
-            for (std::size_t i = 0; i < n; ++i) {
-                const Event &e =
-                    b->ring[(b->head + i) % ring_capacity];
+            for (const Event &e : b->events)
                 events.push_back({e, b->tid});
-            }
             dropped += b->dropped;
-            // Drain: a later writeTrace() must not re-emit these.
-            b->ring.clear();
-            b->head = 0;
+            b->events.clear();
             b->dropped = 0;
         }
     }
@@ -216,15 +183,15 @@ writeTrace(const std::string &path)
     std::fprintf(f, "{\n\"traceEvents\": [");
     for (std::size_t i = 0; i < events.size(); ++i) {
         const Event &e = events[i].e;
+        // The category is the name's layer: "replay" for "replay.cell".
+        const int layer =
+            static_cast<int>(std::strcspn(e.name, "."));
         std::fprintf(f,
-                     "%s\n{\"name\": \"%s\", \"cat\": \"%s\", "
-                     "\"ph\": \"%c\", \"ts\": %.3f, ",
-                     i ? "," : "", e.name, e.cat, e.ph, us(e.ts));
-        if (e.ph == 'X')
-            std::fprintf(f, "\"dur\": %.3f, ", us(e.dur));
-        if (e.ph == 'i')
-            std::fprintf(f, "\"s\": \"t\", ");
-        std::fprintf(f, "\"pid\": 1, \"tid\": %d", events[i].tid);
+                     "%s\n{\"name\": \"%s\", \"cat\": \"%.*s\", "
+                     "\"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
+                     "\"pid\": 1, \"tid\": %d",
+                     i ? "," : "", e.name, layer, e.name, us(e.ts),
+                     us(e.dur), events[i].tid);
         if (e.k0 != nullptr || e.k1 != nullptr) {
             std::fprintf(f, ", \"args\": {");
             bool first = true;

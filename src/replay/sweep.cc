@@ -56,7 +56,7 @@ SweepEngine::run(const std::vector<ReplayJob> &jobs)
 
     std::vector<ReplayResult> results(jobs.size());
     pool_.parallelFor(jobs.size(), [&](std::size_t i) {
-        COSMOS_SPAN_ARGS("replay", "cell", "job", i);
+        const obs::Span span("replay.cell", "job", i);
         const trace::Trace &t = provider_(jobs[i]);
         results[i] = replayTrace(t, jobs[i], default_shards);
     });
@@ -76,8 +76,8 @@ SweepEngine::replayTrace(const trace::Trace &t, const ReplayJob &job,
     shards = std::min(shards, useful);
 
     if (shards == 1) {
-        COSMOS_SPAN_ARGS("replay", "shard", "records",
-                         t.records.size());
+        const obs::Span span("replay.shard", "records",
+                             t.records.size());
         pred::PredictorBank bank(t.numNodes, job.config);
         bank.reserveFromCensus(trace::moduleBlockCensus(t));
         bank.replayBatched(t, job.maxIteration);
@@ -95,8 +95,8 @@ SweepEngine::replayTrace(const trace::Trace &t, const ReplayJob &job,
                         std::min(chunk_records, n - i));
         pool_.parallelFor(shards, [&](std::size_t i_shard) {
             const auto s = static_cast<unsigned>(i_shard);
-            COSMOS_SPAN_ARGS("replay", "shard", "index", s, "records",
-                             bank.stagedRecords(s));
+            const obs::Span span("replay.shard", "index", s, "records",
+                                 bank.stagedRecords(s));
             bank.applyShard(s, job.maxIteration);
         });
     }

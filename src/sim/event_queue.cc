@@ -107,7 +107,7 @@ EventQueue::runOne()
 std::uint64_t
 EventQueue::run(std::uint64_t max_events)
 {
-    COSMOS_SPAN("sim", "EventQueue::run");
+    const obs::Span span("sim.run");
     std::uint64_t n = 0;
     while (n < max_events && runOne())
         ++n;

@@ -30,7 +30,7 @@
 #include "fixtures/golden_accuracy.hh"
 #include "fixtures/golden_sim.hh"
 #include "forge/synth.hh"
-#include "harness/accel_runner.hh"
+#include "harness/experiment.hh"
 #include "harness/sweep.hh"
 #include "harness/trace_cache.hh"
 #include "harness/traffic.hh"

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "accel/online.hh"
-#include "harness/accel_runner.hh"
+#include "harness/experiment.hh"
 #include "proto/invariants.hh"
 #include "proto/machine.hh"
 #include "workloads/micro.hh"

@@ -84,7 +84,8 @@
  * Fuzz options:
  *   --seeds N        number of fuzz cases (default 100)
  *   --seed S         first seed of the campaign
- *   --replay S       re-run exactly one seed (and shrink if it fails)
+ *   --replay S       re-run exactly one seed (and shrink if it fails;
+ *                    decimal or 0x hex)
  *   --nodes N        nodes per fuzz machine, 1..64 (default 4;
  *                    at least 2 with --forge-mix above 0)
  *   --blocks N       contended blocks, at least 1 (default 8)
@@ -116,17 +117,18 @@
  *                    fanout, phase, blocks, procs, seed
  *   --forge-out F    (run --forge) write the per-class accuracy
  *                    report as cosmos-forge-v1 JSON
- *   --chunk N        accesses replayed per barrier-delimited chunk
- *                    (default 2048)
+ *   --chunk N        accesses replayed per barrier-delimited chunk,
+ *                    at least 1 (default 2048)
  *   --accesses N     (gen) accesses to write (default 100000)
  *
  * Common options:
- *   --iterations N   override the workload's iteration count; for
- *                    --forge, chunks to generate (default 64)
+ *   --iterations N   override the workload's iteration count (at
+ *                    least its warm-up); for --forge, chunks to
+ *                    generate (default 64)
  *   --seed S         simulation seed (decimal or 0x hex)
  *   --policy P       owner-read policy: half-migratory | downgrade
- *   --depth D        MHR depth for analyze (default 2)
- *   --filter F       filter max count for analyze (default 0)
+ *   --depth D        MHR depth for analyze, 1..4 (default 2)
+ *   --filter F       filter max count for analyze, 0..255 (default 0)
  *   --threads N      (sweep, model) worker threads, a decimal
  *                    integer in [0, 256]; 0 = COSMOS_THREADS, else
  *                    hardware concurrency
@@ -136,9 +138,15 @@
  *                    (run / analyze / sweep); the export contains
  *                    only Stability::stable metrics, so it is
  *                    byte-identical across runs and thread counts
- *   --trace-out F    record span/instant events for the whole
- *                    command and write Chrome trace-event JSON
- *                    (load in chrome://tracing or ui.perfetto.dev)
+ *   --trace-out F    record the command's spans (sim.run,
+ *                    workloads.emit, replay.cell, replay.shard, ...)
+ *                    in any build type and write them as Chrome
+ *                    trace-event JSON (load in chrome://tracing or
+ *                    ui.perfetto.dev)
+ *
+ * Integer flags take plain decimal values (--seed and --replay also
+ * 0x hex), and --forge-mix a number; a sign, a suffix, or a value
+ * out of range exits 2 naming the flag, before any work.
  *
  * Examples:
  *   cosmos run moldyn --iterations 20 --out moldyn.trace
@@ -182,7 +190,6 @@
 #include "cosmos/predictor_bank.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_event.hh"
-#include "harness/accel_runner.hh"
 #include "harness/experiment.hh"
 #include "harness/figures.hh"
 #include "harness/sweep.hh"
@@ -291,6 +298,22 @@ decimalIn(const char *text, unsigned long long lo, unsigned long long hi)
     return v;
 }
 
+/** @p text as a decimal or 0x-prefixed hex 64-bit integer; nullopt
+ *  for anything else. */
+std::optional<std::uint64_t>
+seedIn(const char *text)
+{
+    if (text[0] != '0' || (text[1] != 'x' && text[1] != 'X'))
+        return decimalIn(text, 0, UINT64_MAX);
+    const char *digits = text + 2;
+    const char *end = digits + std::strlen(digits);
+    std::uint64_t v = 0;
+    const auto [stop, err] = std::from_chars(digits, end, v, 16);
+    if (err != std::errc{} || stop != end)
+        return std::nullopt;
+    return v;
+}
+
 /** Reject a flag value before any work: name the flag and what it
  *  accepts, exit with status 2. */
 [[noreturn]] void
@@ -319,19 +342,35 @@ parse(int argc, char **argv)
                 usage();
             return argv[++i];
         };
-        // A size flag's value: a plain decimal integer; the command
-        // checks its range.
-        auto count = [&]() {
+        // A plain decimal integer in [lo, hi], else exit 2 saying
+        // what the flag @p accepts.
+        auto decimal = [&](unsigned long long lo, unsigned long long hi,
+                           const std::string &accepts) {
             const char *v = value();
-            const auto n = decimalIn(v, 0, UINT_MAX);
+            const auto n = decimalIn(v, lo, hi);
             if (!n)
-                badFlagValue(args, flag.c_str(), "a decimal integer", v);
-            return static_cast<unsigned>(*n);
+                badFlagValue(args, flag.c_str(), accepts, v);
+            return *n;
+        };
+        // A count: a plain decimal integer that fits an unsigned; a
+        // command checks any narrower range.
+        auto count = [&]() {
+            return static_cast<unsigned>(
+                decimal(0, UINT_MAX, "a decimal integer"));
+        };
+        auto seed = [&]() {
+            const char *v = value();
+            const auto n = seedIn(v);
+            if (!n)
+                badFlagValue(args, flag.c_str(),
+                             "a decimal or 0x-prefixed hex integer", v);
+            return *n;
         };
         if (flag == "--iterations") {
-            args.iterations = std::atoi(value());
+            args.iterations = static_cast<int>(
+                decimal(0, INT_MAX, "a decimal integer"));
         } else if (flag == "--seed") {
-            args.seed = std::strtoull(value(), nullptr, 0);
+            args.seed = seed();
         } else if (flag == "--policy") {
             const std::string p = value();
             if (p == "half-migratory")
@@ -341,20 +380,19 @@ parse(int argc, char **argv)
             else
                 usage();
         } else if (flag == "--depth") {
-            args.depth = static_cast<unsigned>(std::atoi(value()));
+            args.depth = static_cast<unsigned>(decimal(
+                1, pred::max_mhr_depth,
+                detail::concat("a decimal integer in [1, ",
+                               pred::max_mhr_depth, "]")));
         } else if (flag == "--filter") {
-            args.filter = static_cast<unsigned>(std::atoi(value()));
+            // The filter counter is a uint8_t.
+            args.filter = static_cast<unsigned>(
+                decimal(0, 255, "a decimal integer in [0, 255]"));
         } else if (flag == "--threads") {
-            const char *v = value();
-            const auto n =
-                decimalIn(v, 0, replay::ThreadPool::max_threads);
-            if (!n)
-                badFlagValue(args, "--threads",
-                             detail::concat(
-                                 "a decimal integer in [0, ",
-                                 replay::ThreadPool::max_threads, "]"),
-                             v);
-            args.threads = static_cast<unsigned>(*n);
+            args.threads = static_cast<unsigned>(decimal(
+                0, replay::ThreadPool::max_threads,
+                detail::concat("a decimal integer in [0, ",
+                               replay::ThreadPool::max_threads, "]")));
         } else if (flag == "--out") {
             args.out = value();
         } else if (flag == "--metrics-out") {
@@ -362,10 +400,10 @@ parse(int argc, char **argv)
         } else if (flag == "--trace-out") {
             args.traceOut = value();
         } else if (flag == "--seeds") {
-            args.fuzzSeeds = static_cast<unsigned>(std::atoi(value()));
+            args.fuzzSeeds = count();
         } else if (flag == "--replay") {
             args.haveReplay = true;
-            args.replaySeed = std::strtoull(value(), nullptr, 0);
+            args.replaySeed = seed();
         } else if (flag == "--nodes") {
             args.fuzzNodes = count();
             args.haveNodes = true;
@@ -373,15 +411,21 @@ parse(int argc, char **argv)
             args.fuzzBlocks = count();
             args.haveBlocks = true;
         } else if (flag == "--ops") {
-            args.fuzzOps = static_cast<unsigned>(std::atoi(value()));
+            args.fuzzOps = count();
         } else if (flag == "--jitter") {
-            args.fuzzJitter = std::strtoull(value(), nullptr, 0);
+            args.fuzzJitter = decimal(0, UINT64_MAX, "a decimal integer");
         } else if (flag == "--inject-ignore-inval") {
             args.injectIgnoreInval = count();
         } else if (flag == "--replay-model") {
             args.replayModel = value();
         } else if (flag == "--forge-mix") {
-            args.forgeMix = std::atof(value());
+            // A number with nothing after it; fuzzFlagError checks
+            // its range.
+            const char *v = value();
+            const char *end = v + std::strlen(v);
+            const auto [stop, err] = std::from_chars(v, end, args.forgeMix);
+            if (err != std::errc{} || stop != end)
+                badFlagValue(args, "--forge-mix", "a number", v);
         } else if (flag == "--trace-file") {
             args.traceFile = value();
         } else if (flag == "--forge") {
@@ -390,18 +434,15 @@ parse(int argc, char **argv)
             args.forgeOut = value();
         } else if (flag == "--chunk") {
             args.chunk = static_cast<std::size_t>(
-                std::strtoull(value(), nullptr, 0));
+                decimal(1, SIZE_MAX, "a decimal integer of at least 1"));
         } else if (flag == "--accesses") {
-            args.genAccesses = std::strtoull(value(), nullptr, 0);
+            args.genAccesses =
+                decimal(0, UINT64_MAX, "a decimal integer");
         } else if (flag == "--reorder") {
             args.modelReorder = count();
         } else if (flag == "--max-states") {
-            const char *v = value();
-            const auto n = decimalIn(v, 1, SIZE_MAX);
-            if (!n)
-                badFlagValue(args, "--max-states",
-                             "a decimal integer of at least 1", v);
-            args.modelMaxStates = static_cast<std::size_t>(*n);
+            args.modelMaxStates = static_cast<std::size_t>(
+                decimal(1, SIZE_MAX, "a decimal integer of at least 1"));
         } else if (flag == "--forwarding") {
             args.forwarding = true;
         } else if (flag == "--legacy-forwarding") {
@@ -411,8 +452,7 @@ parse(int argc, char **argv)
         } else if (flag == "--mutate") {
             args.mutate = value();
         } else if (flag == "--capacity") {
-            args.lintCapacity =
-                static_cast<unsigned>(std::atoi(value()));
+            args.lintCapacity = count();
         } else {
             usage();
         }
@@ -420,9 +460,27 @@ parse(int argc, char **argv)
     return args;
 }
 
+/** Reject an --iterations below the built-in kernel's warm-up before
+ *  any work (the run would trip the harness's warm-up assertion). */
+void
+checkKernelIterations(const CliArgs &args)
+{
+    if (args.iterations < 0)
+        return;
+    const int warmup =
+        wl::makeWorkload(args.target)->info().warmupIterations;
+    if (args.iterations < warmup)
+        badFlagValue(args, "--iterations",
+                     detail::concat("a decimal integer of at least ",
+                                    warmup, " (", args.target,
+                                    "'s warm-up)"),
+                     std::to_string(args.iterations).c_str());
+}
+
 harness::RunConfig
 makeRunConfig(const CliArgs &args)
 {
+    checkKernelIterations(args);
     harness::RunConfig cfg;
     cfg.app = args.target;
     cfg.iterations = args.iterations;
@@ -687,6 +745,7 @@ cmdSweep(const CliArgs &args)
 {
     if (args.target.empty())
         usage();
+    checkKernelIterations(args);
     // All 12 depth x filter cells replay the one simulated trace
     // concurrently through the parallel sweep engine.
     std::vector<replay::ReplayJob> jobs;
