@@ -97,7 +97,6 @@ runPredictedCell(const std::string &app)
     accel::OnlineOptions opts;
     opts.enableReplyExclusive = false;
     opts.enableVoluntaryRecall = false;
-    opts.enableForwardGate = true;
     opts.minConfidence = 2;
     const auto result = harness::runAccelerated(cfg, opts);
     cell.time = result.run.finalTime;

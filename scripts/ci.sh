@@ -76,8 +76,10 @@ echo "== observability smoke OK"
 # checker must come back clean and emit a valid cosmos-fuzz-v1
 # artifact. Then the negative leg: a planted lost-invalidation bug
 # (--inject-ignore-inval) MUST be caught -- the run has to exit
-# non-zero and its artifact has to record the violations -- proving
-# the checker can actually see protocol bugs, not just green runs.
+# non-zero and its artifact has to name the SWMR breach the model
+# leg below names for the same bug -- proving the checker can
+# actually see protocol bugs, not just green runs or trapped
+# assertions.
 ./build/tools/cosmos fuzz --seeds 200 --seed 1 \
     --out artifacts/fuzz_clean.json > /dev/null
 python3 scripts/check_json.py --schema fuzz artifacts/fuzz_clean.json
@@ -89,6 +91,7 @@ if ./build/tools/cosmos fuzz --seeds 5 --seed 1 \
 fi
 python3 scripts/check_json.py --schema fuzz \
     artifacts/fuzz_planted_bug.json
+grep -q '"kind": "writer_and_readers"' artifacts/fuzz_planted_bug.json
 echo "== fuzz smoke OK (200 clean seeds, planted bug caught)"
 
 # Model-check smoke: the exhaustive checker must close out the

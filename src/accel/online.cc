@@ -96,8 +96,6 @@ OnlineAccelerator::forwardOwnerTransfer(Addr block, NodeId owner,
     (void)owner;
     (void)requester;
     (void)wantWritable;
-    if (!options_.enableForwardGate)
-        return true;
     ++stats_.fwdQueries;
     // Delivery probes run before handlers, so the confidence streak
     // already includes the triggering request: it survived only if

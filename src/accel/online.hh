@@ -15,7 +15,9 @@
  *  - forwarding gate: under --forwarding with forwardingPredicted,
  *    each owner recall consults the predictor before marking the
  *    recall forwarded -- predictable blocks take the three-hop
- *    direct path, unpredictable ones the plain home reply.
+ *    direct path, unpredictable ones the plain home reply. The
+ *    accelerator answers every query the directory makes, so
+ *    forwardingPredicted is the gate's one switch.
  *
  * All three actions move the protocol between legal states, so a
  * wrong prediction costs only extra misses/messages (§4.3, class 1).
@@ -42,14 +44,6 @@ struct OnlineOptions
     pred::CosmosConfig predictor{2, 1};
     bool enableReplyExclusive = true;
     bool enableVoluntaryRecall = true;
-    /**
-     * Answer the directory's forwardOwnerTransfer queries (only
-     * issued when MachineConfig::forwardingPredicted is set): forward
-     * the owner's data three-hop when the block's directory-side
-     * traffic has been predictable lately, reply through home when it
-     * has not. Off = always forward, the static §2.1 behavior.
-     */
-    bool enableForwardGate = false;
     /**
      * Act only when the block's recent prediction streak reaches
      * this length (0 = act on any prediction). §4.2's timing

@@ -182,7 +182,7 @@ runCase(const FuzzCase &c, const FuzzOptions &opts)
             });
     }
 
-    InvariantEngine engine(machine, opts.check);
+    InvariantEngine engine(machine);
     runtime::Runtime rt(machine);
 
     bool drained = false;

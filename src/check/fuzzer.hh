@@ -75,9 +75,6 @@ struct FuzzOptions
 
     /** Cap on extra simulations spent shrinking one failure. */
     unsigned maxShrinkRuns = 200;
-
-    /** Invariant engine tunables for every case. */
-    CheckOptions check{};
 };
 
 /** One generated case: everything derived from the seed. */

@@ -1,8 +1,6 @@
 #include "check/invariant_engine.hh"
 
 #include <algorithm>
-#include <bit>
-#include <set>
 #include <sstream>
 
 #include "obs/trace_event.hh"
@@ -10,26 +8,25 @@
 namespace cosmos::check
 {
 
-namespace
-{
+// The first three kinds are the coherence rules, in proto's order.
+static_assert(static_cast<int>(ViolationKind::multiple_writers) ==
+              static_cast<int>(proto::CoherenceRule::multiple_writers));
+static_assert(static_cast<int>(ViolationKind::writer_and_readers) ==
+              static_cast<int>(proto::CoherenceRule::writer_and_readers));
+static_assert(static_cast<int>(ViolationKind::directory_mismatch) ==
+              static_cast<int>(proto::CoherenceRule::directory_mismatch));
 
-std::vector<NodeId>
-nodesOf(std::uint64_t mask)
+Violation
+toViolation(proto::Breach b, Addr block, Tick when)
 {
-    std::vector<NodeId> nodes;
-    for (NodeId n = 0; mask != 0; ++n, mask >>= 1)
-        if (mask & 1)
-            nodes.push_back(n);
-    return nodes;
+    Violation v;
+    v.kind = static_cast<ViolationKind>(b.rule);
+    v.block = block;
+    v.nodes = std::move(b.nodes);
+    v.when = when;
+    v.detail = std::move(b.detail);
+    return v;
 }
-
-std::vector<NodeId>
-nodesOf(std::uint64_t a, std::uint64_t b)
-{
-    return nodesOf(a | b);
-}
-
-} // namespace
 
 InvariantEngine::InvariantEngine(proto::Machine &machine,
                                  CheckOptions opts)
@@ -105,8 +102,7 @@ InvariantEngine::onDelivered(const proto::Msg &m, Tick when)
     // forwarded data response, closing a handshake the request
     // counter does not model.
     if (m.type == proto::MsgType::fwd_ack) {
-        if (opts_.perMessage)
-            checkBlock(m.block, when);
+        checkBlock(m.block, when);
         if ((delivered_ & 1023) == 0)
             scanPendingWindows(when);
         return;
@@ -138,8 +134,7 @@ InvariantEngine::onDelivered(const proto::Msg &m, Tick when)
             flights_.erase(it);
     }
 
-    if (opts_.perMessage)
-        checkBlock(m.block, when);
+    checkBlock(m.block, when);
 
     // Amortized liveness scan: stuck transactions produce no further
     // deliveries of their own, so piggyback on overall progress.
@@ -171,118 +166,9 @@ InvariantEngine::scanPendingWindows(Tick when)
 void
 InvariantEngine::checkBlock(Addr block, Tick when)
 {
-    using proto::DirState;
-    using proto::LineState;
-
-    std::uint64_t ro = 0;
-    std::uint64_t rw = 0;
-    bool transient = false;
-    const NodeId n = machine_.numNodes();
-    for (NodeId c = 0; c < n; ++c) {
-        switch (machine_.cache(c).state(block)) {
-          case LineState::invalid:
-            break;
-          case LineState::read_only:
-            ro |= std::uint64_t{1} << c;
-            break;
-          case LineState::read_write:
-            rw |= std::uint64_t{1} << c;
-            break;
-          default:
-            transient = true;
-            break;
-        }
-    }
-
-    // SWMR holds at *every* delivery point: exclusivity is only
-    // granted after all invalidation acks, so two quiescent writable
-    // copies -- or a writable copy next to readable ones -- are a
-    // protocol bug no matter what is in flight.
-    if (std::popcount(rw) > 1) {
-        Violation v;
-        v.kind = ViolationKind::multiple_writers;
-        v.block = block;
-        v.nodes = nodesOf(rw);
-        v.when = when;
-        v.detail = "more than one cache holds the block read_write";
-        report(std::move(v));
-    }
-    if (rw != 0 && ro != 0) {
-        Violation v;
-        v.kind = ViolationKind::writer_and_readers;
-        v.block = block;
-        v.nodes = nodesOf(rw, ro);
-        v.when = when;
-        std::ostringstream os;
-        os << "writer node " << nodesOf(rw).front()
-           << " coexists with " << std::popcount(ro)
-           << " read_only cop" << (std::popcount(ro) == 1 ? "y" : "ies");
-        v.detail = os.str();
-        report(std::move(v));
-    }
-
-    // Directory agreement only makes sense once the block is outside
-    // any transaction: skip mid-flight states exactly like the
-    // quiescent checker in proto/invariants.
-    if (transient)
-        return;
-    const NodeId home = machine_.addrMap().home(block);
-    const auto &dir = machine_.directory(home);
-    if (dir.busy(block))
-        return;
-
-    const DirState ds = dir.state(block);
-    const std::uint64_t sharers = dir.sharers(block);
-    const NodeId owner = dir.owner(block);
-    const bool replacement = machine_.config().cacheCapacityBlocks != 0;
-
-    Violation v;
-    v.kind = ViolationKind::directory_mismatch;
-    v.block = block;
-    v.when = when;
-    switch (ds) {
-      case DirState::idle:
-        if (ro == 0 && rw == 0)
-            return;
-        v.nodes = nodesOf(ro, rw);
-        v.detail = "directory says idle but the block is cached";
-        break;
-      case DirState::shared:
-        if (rw != 0) {
-            v.nodes = nodesOf(rw);
-            v.detail = "directory says shared but a cache holds the "
-                       "block read_write";
-        } else if (replacement ? (ro & ~sharers) != 0
-                               : ro != sharers) {
-            // Silent drops make the sharer list a superset of the
-            // real holders; without replacement it must be exact. So
-            // under replacement only an unlisted holder is a culprit.
-            v.nodes = nodesOf(replacement ? ro & ~sharers : ro ^ sharers);
-            std::ostringstream os;
-            os << "sharer bits 0x" << std::hex << sharers
-               << " disagree with read_only holders 0x" << ro;
-            v.detail = os.str();
-        } else {
-            return;
-        }
-        break;
-      case DirState::exclusive:
-        if (rw != (std::uint64_t{1} << owner)) {
-            v.nodes = nodesOf(rw | (std::uint64_t{1} << owner));
-            std::ostringstream os;
-            os << "directory owner is node " << owner
-               << " but read_write holders are 0x" << std::hex << rw;
-            v.detail = os.str();
-        } else if (ro != 0) {
-            v.nodes = nodesOf(ro);
-            v.detail = "directory says exclusive but read_only "
-                       "copies exist";
-        } else {
-            return;
-        }
-        break;
-    }
-    report(std::move(v));
+    for (proto::Breach &b :
+         proto::brokenRules(proto::blockView(machine_, block)))
+        report(toViolation(std::move(b), block, when));
 }
 
 void
@@ -291,11 +177,7 @@ InvariantEngine::checkQuiescent()
     const Tick when = machine_.eventQueue().now();
     const NodeId n = machine_.numNodes();
 
-    // Union of every block anyone still knows about.
-    std::set<Addr> blocks;
     for (NodeId c = 0; c < n; ++c) {
-        machine_.cache(c).forEachLine(
-            [&](Addr b, proto::LineState) { blocks.insert(b); });
         if (machine_.cache(c).busy()) {
             Violation v;
             v.kind = ViolationKind::liveness;
@@ -311,7 +193,6 @@ InvariantEngine::checkQuiescent()
     for (NodeId d = 0; d < n; ++d) {
         machine_.directory(d).forEachEntry(
             [&](Addr b, proto::DirState, std::uint64_t, NodeId) {
-                blocks.insert(b);
                 if (machine_.directory(d).busy(b)) {
                     Violation v;
                     v.kind = ViolationKind::liveness;
@@ -325,7 +206,7 @@ InvariantEngine::checkQuiescent()
             });
     }
 
-    for (Addr b : blocks)
+    for (const Addr b : proto::knownBlocks(machine_))
         checkBlock(b, when);
 
     for (const auto &[block, f] : flights_) {

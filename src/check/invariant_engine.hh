@@ -6,13 +6,11 @@
  * delivered coherence message, verifies the global safety properties
  * of the protocol on the block the message touched:
  *
- *  - single-writer / multiple-reader: at most one read_write copy
- *    machine-wide, and never a read_write copy coexisting with
- *    read_only copies (checked strictly, at every delivery -- the
- *    protocol grants exclusivity only after all invalidations ack,
- *    so SWMR must hold at every instant, not just quiescence);
- *  - directory/cache agreement: a quiescent directory entry's sharer
- *    bits and owner must match the caches' actual line states;
+ *  - the coherence rule of proto/invariants: single-writer /
+ *    multiple-reader at every delivery, and directory/cache agreement
+ *    unless a miss is outstanding or the home is busy. The engine
+ *    builds the block's proto::BlockView and reports each breach
+ *    proto::brokenRules() returns, with its nodes and words;
  *  - message conservation: per block, responses never outnumber the
  *    requests they answer, and at quiescence every request has been
  *    matched (no in-flight transactions survive a drained queue);
@@ -35,6 +33,7 @@
 
 #include "check/violation.hh"
 #include "common/log.hh"
+#include "proto/invariants.hh"
 #include "proto/machine.hh"
 
 namespace cosmos::check
@@ -54,14 +53,13 @@ struct CheckOptions
      */
     Tick maxPendingWindow = 1'000'000;
 
-    /** Run the per-block checks after every delivery (else only the
-     *  quiescent sweep). */
-    bool perMessage = true;
-
     /** Recording stops after this many violations (the count of
      *  suppressed ones is still kept). */
     unsigned maxViolations = 64;
 };
+
+/** @p b, broken by @p block, as a violation detected at @p when. */
+Violation toViolation(proto::Breach b, Addr block, Tick when = 0);
 
 class InvariantEngine
 {
@@ -100,7 +98,7 @@ class InvariantEngine
 
   private:
     void onDelivered(const proto::Msg &m, Tick when);
-    /** SWMR + directory agreement for a single block. */
+    /** Report every coherence rule @p block breaks. */
     void checkBlock(Addr block, Tick when);
     void scanPendingWindows(Tick when);
     void report(Violation v);

@@ -105,8 +105,10 @@ struct MachineConfig
      * Gate each three-hop forward on the directory's speculation
      * hook (DirectorySpeculation::forwardOwnerTransfer): forward only
      * when the predictor expects the requester to be the block's next
-     * reader; otherwise fall back to the four-hop home reply. No-op
-     * unless `forwarding` is set and a speculation hook is installed.
+     * reader; otherwise fall back to the four-hop home reply. The one
+     * switch for prediction-gated forwarding: an installed
+     * accel::OnlineAccelerator answers every query. No-op unless
+     * `forwarding` is set and a speculation hook is installed.
      */
     bool forwardingPredicted = false;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <deque>
 #include <fstream>
 #include <future>
@@ -11,6 +10,7 @@
 #include <thread>
 #include <tuple>
 
+#include "check/invariant_engine.hh"
 #include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/log.hh"
@@ -99,131 +99,26 @@ class VisitedSet
     std::vector<StateRec> recs_;
 };
 
-/** The nodes of @p mask, ascending. */
-std::vector<NodeId>
-nodesOf(std::uint8_t mask)
-{
-    std::vector<NodeId> nodes;
-    for (unsigned n = 0; n < max_nodes; ++n)
-        if (mask & (1u << n))
-            nodes.push_back(static_cast<NodeId>(n));
-    return nodes;
-}
-
-/** The nodes of @p writers, then those of @p readers. */
-std::vector<NodeId>
-writersThenReaders(std::uint8_t writers, std::uint8_t readers)
-{
-    std::vector<NodeId> nodes = nodesOf(writers);
-    const std::vector<NodeId> r = nodesOf(readers);
-    nodes.insert(nodes.end(), r.begin(), r.end());
-    return nodes;
-}
-
 /** First safety violation of @p s, if any (fixed check order keeps
- *  reports deterministic). Mirrors check::InvariantEngine's rules on
- *  the model's explicit state. Allocates only to report. */
+ *  reports deterministic): the first coherence rule a block breaks,
+ *  in block order, else a deadlock. Allocates only to report. */
 std::optional<check::Violation>
 checkState(const GlobalState &s, const ModelConfig &mc)
 {
     for (unsigned b = 0; b < mc.numBlocks; ++b) {
-        std::uint8_t writers = 0;
-        std::uint8_t readers = 0;
-        bool transient = false;
-        for (unsigned n = 0; n < mc.numNodes; ++n) {
-            switch (static_cast<proto::LineState>(s.line[n][b])) {
-              case proto::LineState::read_write:
-                writers |= static_cast<std::uint8_t>(1u << n);
-                break;
-              case proto::LineState::read_only:
-                readers |= static_cast<std::uint8_t>(1u << n);
-                break;
-              case proto::LineState::invalid:
-                break;
-              default:
-                transient = true;
-                break;
-            }
-        }
-        const unsigned numWriters = std::popcount(writers);
-        const unsigned numReaders = std::popcount(readers);
-
-        if (numWriters > 1) {
-            check::Violation v;
-            v.kind = check::ViolationKind::multiple_writers;
-            v.block = mc.blockAddr(b);
-            v.nodes = nodesOf(writers);
-            v.detail = detail::concat(
-                "block ", b, " is cached read_write at ", numWriters,
-                " nodes simultaneously");
-            return v;
-        }
-        if (numWriters == 1 && numReaders != 0) {
-            check::Violation v;
-            v.kind = check::ViolationKind::writer_and_readers;
-            v.block = mc.blockAddr(b);
-            v.nodes = writersThenReaders(writers, readers);
-            v.detail = detail::concat(
-                "block ", b, " has a read_write copy at node ",
-                v.nodes[0], " coexisting with ", numReaders,
-                " read_only cop", numReaders == 1 ? "y" : "ies");
-            return v;
-        }
-
-        // Directory agreement applies only at rest: entry not
-        // mid-transaction, no miss outstanding on the block, nothing
-        // for the block in flight.
+        proto::BlockView view;
+        for (unsigned n = 0; n < mc.numNodes; ++n)
+            view.addLine(static_cast<NodeId>(n),
+                         static_cast<proto::LineState>(s.line[n][b]));
         const DirEntryState &e = s.dir[b];
-        if (e.busy || transient)
-            continue;
-        bool inFlight = false;
-        for (unsigned src = 0; src < mc.numNodes && !inFlight; ++src) {
-            for (unsigned dst = 0; dst < mc.numNodes; ++dst) {
-                const MsgQueue &q = s.channel(src, dst);
-                for (unsigned i = 0; i < q.count; ++i) {
-                    if (q.items[i].blockIdx == b) {
-                        inFlight = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if (inFlight)
-            continue;
-
-        std::string mismatch;
-        switch (e.state) {
-          case proto::DirState::idle:
-            if (writers != 0 || readers != 0)
-                mismatch = "entry is idle but cached copies exist";
-            break;
-          case proto::DirState::shared:
-            if (writers != 0)
-                mismatch = "entry is shared but a read_write copy "
-                           "exists";
-            else if (e.sharers != readers)
-                mismatch = detail::concat(
-                    "sharer bits ", unsigned{e.sharers},
-                    " disagree with the read_only copies ",
-                    unsigned{readers});
-            break;
-          case proto::DirState::exclusive:
-            if (numWriters != 1 || e.owner >= max_nodes ||
-                writers != (1u << e.owner) || readers != 0) {
-                mismatch = detail::concat(
-                    "entry is exclusive at node ", unsigned{e.owner},
-                    " but the caches disagree");
-            }
-            break;
-        }
-        if (!mismatch.empty()) {
-            check::Violation v;
-            v.kind = check::ViolationKind::directory_mismatch;
-            v.block = mc.blockAddr(b);
-            v.nodes = writersThenReaders(writers, readers);
-            v.detail = detail::concat("block ", b, ": ", mismatch);
-            return v;
-        }
+        view.homeBusy = e.busy;
+        view.homeState = e.state;
+        view.sharers = e.sharers;
+        view.owner = e.owner == no_node ? invalid_node : NodeId{e.owner};
+        std::vector<proto::Breach> breaches = proto::brokenRules(view);
+        if (!breaches.empty())
+            return check::toViolation(std::move(breaches.front()),
+                                      mc.blockAddr(b));
     }
 
     // Deadlock: an in-progress transaction with an empty network can
@@ -254,7 +149,7 @@ checkState(const GlobalState &s, const ModelConfig &mc)
                 check::Violation v;
                 v.kind = check::ViolationKind::liveness;
                 v.block = mc.blockAddr(b);
-                v.nodes = nodesOf(waiting);
+                v.nodes = proto::nodesOf(waiting);
                 v.detail = detail::concat(
                     "deadlock: block ", b,
                     " has a transaction in progress but the network "

@@ -7,8 +7,9 @@
  * state is visited exactly once, every enabled action of every state
  * is executed through the live controllers (model/stepper), and each
  * discovered state is checked against the protocol's safety
- * properties -- SWMR, directory/cache agreement, deadlock-freedom --
- * reported as the check layer's structured Violation records.
+ * properties -- the coherence rule of proto/invariants (SWMR,
+ * directory/cache agreement), then deadlock-freedom -- reported as
+ * the check layer's structured Violation records.
  *
  * The visited set stores canonical encodings (model/state symmetry
  * reduction) in an Arena, indexed by a FlatMap from 64-bit FNV-1a

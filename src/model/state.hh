@@ -146,7 +146,7 @@ struct MsgQueue
     }
 };
 
-/** One directory entry, packed (mirrors DirEntrySnapshot). */
+/** One directory entry, packed (mirrors proto::DirEntry). */
 struct DirEntryState
 {
     proto::DirState state = proto::DirState::idle;

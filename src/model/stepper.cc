@@ -193,16 +193,6 @@ Stepper::readBack(GlobalState &out)
     }
 }
 
-proto::DirEntrySnapshot
-Stepper::dirEntry(NodeId n, Addr block)
-{
-    dirs_[n]->snapshot(dirScratch_);
-    for (const proto::DirEntrySnapshot &es : dirScratch_.entries)
-        if (es.block == block)
-            return es;
-    return proto::DirEntrySnapshot{};
-}
-
 void
 Stepper::drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
                    GlobalState &work, NodeId handled)
@@ -223,33 +213,6 @@ Stepper::drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
     }
     captured_.clear();
 }
-
-namespace
-{
-
-/** The guard-relevant slice of a pre-handler entry snapshot, in the
- *  shape the transition table's guard predicates are declared over.
- *  DirectoryController::guardView builds the identical view from the
- *  live Entry, so the stepper and the dispatch derive the same
- *  guards. */
-proto::DirGuardView
-viewOf(const proto::DirEntrySnapshot &e)
-{
-    proto::DirGuardView v;
-    v.busy = e.busy;
-    v.state = static_cast<std::uint8_t>(e.state);
-    v.sharers = e.sharers;
-    v.pendingAcks = e.pendingAcks;
-    v.genuineUpgrade = e.genuineUpgrade;
-    v.recall = e.recall;
-    v.fwdData = e.fwdData;
-    v.fwdAckPending = e.fwdAckPending;
-    v.waitingEmpty = e.waiting.empty();
-    v.currentType = e.current.type;
-    return v;
-}
-
-} // namespace
 
 void
 Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
@@ -277,7 +240,7 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
                 caches_[m.dst]->state(m.block));
         } else {
             const proto::DirGuardView pre =
-                viewOf(dirEntry(m.dst, m.block));
+                dirs_[m.dst]->guardView(m.block);
             sample.pre = static_cast<std::uint8_t>(proto::dirPhaseOf(pre));
             // Same single source of truth as the cache branch: the
             // guard predicates over the directory's hidden state (ack
@@ -288,7 +251,7 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
             dirs_[m.dst]->handleMessage(m);
             drainInto(sample, worklist, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
-                proto::dirPhaseOf(viewOf(dirEntry(m.dst, m.block))));
+                proto::dirPhaseOf(dirs_[m.dst]->guardView(m.block)));
         }
         out.samples.push_back(sample);
     }

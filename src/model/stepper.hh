@@ -127,9 +127,6 @@ class Stepper
     CompactMsg fromMsg(const proto::Msg &m) const;
     unsigned blockIdx(Addr block) const;
 
-    /** Find (or default) the pre-handler entry snapshot of a block. */
-    proto::DirEntrySnapshot dirEntry(NodeId n, Addr block);
-
     ModelConfig mc_;
     MachineConfig cfg_;
     AddrMap amap_;

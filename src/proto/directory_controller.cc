@@ -43,7 +43,7 @@ DirectoryController::DirectoryController(NodeId node, const AddrMap &amap,
 }
 
 DirGuardView
-DirectoryController::guardView(const Entry &e)
+DirectoryController::guardView(const DirEntry &e)
 {
     DirGuardView v;
     v.busy = e.busy;
@@ -59,7 +59,7 @@ DirectoryController::guardView(const Entry &e)
     return v;
 }
 
-DirectoryController::Entry &
+DirEntry &
 DirectoryController::entry(Addr block)
 {
     cosmos_assert(amap_.home(block) == node_, "block 0x", std::hex, block,
@@ -67,8 +67,15 @@ DirectoryController::entry(Addr block)
     return entries_.obtain(block);
 }
 
+DirGuardView
+DirectoryController::guardView(Addr block) const
+{
+    const DirEntry *e = entries_.find(block);
+    return e == nullptr ? DirGuardView{} : guardView(*e);
+}
+
 void
-DirectoryController::enter(Entry &e, DirState st)
+DirectoryController::enter(DirEntry &e, DirState st)
 {
     if (e.state != st)
         ++stats_.stateEntries[static_cast<std::size_t>(st)];
@@ -78,28 +85,28 @@ DirectoryController::enter(Entry &e, DirState st)
 DirState
 DirectoryController::state(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const DirEntry *e = entries_.find(block);
     return e == nullptr ? DirState::idle : e->state;
 }
 
 std::uint64_t
 DirectoryController::sharers(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const DirEntry *e = entries_.find(block);
     return e == nullptr ? 0 : e->sharers;
 }
 
 NodeId
 DirectoryController::owner(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const DirEntry *e = entries_.find(block);
     return e == nullptr ? invalid_node : e->owner;
 }
 
 bool
 DirectoryController::busy(Addr block) const
 {
-    const Entry *e = entries_.find(block);
+    const DirEntry *e = entries_.find(block);
     return e != nullptr && e->busy;
 }
 
@@ -108,9 +115,9 @@ DirectoryController::forEachEntry(
     const std::function<void(Addr, DirState, std::uint64_t, NodeId)> &fn)
     const
 {
-    std::vector<std::pair<Addr, const Entry *>> sorted;
+    std::vector<std::pair<Addr, const DirEntry *>> sorted;
     sorted.reserve(entries_.size());
-    entries_.forEach([&](Addr block, const Entry &e) {
+    entries_.forEach([&](Addr block, const DirEntry &e) {
         sorted.emplace_back(block, &e);
     });
     std::sort(sorted.begin(), sorted.end(),
@@ -124,26 +131,13 @@ DirectoryController::snapshot(DirectorySnapshot &out) const
 {
     out.entries.clear();
     out.entries.reserve(entries_.size());
-    entries_.forEach([&](Addr block, const Entry &e) {
+    entries_.forEach([&](Addr block, const DirEntry &e) {
         // Idle quiescent entries are indistinguishable from absent
         // ones (state() and busy() default them); dropping them keeps
         // snapshots of equal states byte-equal.
         if (e.state == DirState::idle && !e.busy)
             return;
-        DirEntrySnapshot s;
-        s.block = block;
-        s.state = e.state;
-        s.sharers = e.sharers;
-        s.owner = e.owner;
-        s.busy = e.busy;
-        s.pendingAcks = e.pendingAcks;
-        s.genuineUpgrade = e.genuineUpgrade;
-        s.recall = e.recall;
-        s.fwdData = e.fwdData;
-        s.fwdAckPending = e.fwdAckPending;
-        s.current = e.current;
-        s.waiting = e.waiting;
-        out.entries.push_back(std::move(s));
+        out.entries.push_back({e, block});
     });
     std::sort(out.entries.begin(), out.entries.end(),
               [](const DirEntrySnapshot &a, const DirEntrySnapshot &b) {
@@ -155,20 +149,8 @@ void
 DirectoryController::restore(const DirectorySnapshot &s)
 {
     entries_.clear();
-    for (const DirEntrySnapshot &es : s.entries) {
-        Entry &e = entry(es.block);
-        e.state = es.state;
-        e.sharers = es.sharers;
-        e.owner = es.owner;
-        e.busy = es.busy;
-        e.pendingAcks = es.pendingAcks;
-        e.genuineUpgrade = es.genuineUpgrade;
-        e.recall = es.recall;
-        e.fwdData = es.fwdData;
-        e.fwdAckPending = es.fwdAckPending;
-        e.current = es.current;
-        e.waiting = es.waiting;
-    }
+    for (const DirEntrySnapshot &es : s.entries)
+        entry(es.block) = static_cast<const DirEntry &>(es);
 }
 
 void
@@ -215,7 +197,7 @@ DirectoryController::forward(MsgType t, NodeId dst, Addr block,
         ++stats_.forwardsSuppressed;
         fwd = false;
     }
-    Entry &e = entry(block);
+    DirEntry &e = entry(block);
     e.fwdData = fwd;
     // The fwd_ack handshake closes the forwarded transfer; the legacy
     // (pre-fix) protocol skips it and releases the entry on the
@@ -236,7 +218,7 @@ DirectoryController::handleMessage(const Msg &m)
     // the message type, and the guard bits derived from the entry; a
     // stray response or a message no row covers panics inside
     // dispatch() with the offending (phase, input, guard) triple.
-    Entry &e = entry(m.block);
+    DirEntry &e = entry(m.block);
     const DirGuardView view = guardView(e);
     const TransitionRow &row = table_.dispatch(
         Role::directory, static_cast<std::uint8_t>(dirPhaseOf(view)),
@@ -279,7 +261,7 @@ DirectoryController::handleMessage(const Msg &m)
 }
 
 void
-DirectoryController::onInvalAck(Entry &e, const Msg &m)
+DirectoryController::onInvalAck(DirEntry &e, const Msg &m)
 {
     cosmos_assert(e.busy && e.pendingAcks > 0,
                   "stray inval_ro_response at directory ", node_);
@@ -297,7 +279,7 @@ DirectoryController::onInvalAck(Entry &e, const Msg &m)
 }
 
 void
-DirectoryController::onRevision(Entry &e, const Msg &m)
+DirectoryController::onRevision(DirEntry &e, const Msg &m)
 {
     cosmos_assert(e.busy && e.pendingAcks == 1,
                   "stray inval_rw_response at directory ", node_);
@@ -366,7 +348,7 @@ DirectoryController::onRevision(Entry &e, const Msg &m)
 }
 
 void
-DirectoryController::onDowngradeAck(Entry &e, const Msg &m)
+DirectoryController::onDowngradeAck(DirEntry &e, const Msg &m)
 {
     cosmos_assert(e.busy && e.pendingAcks == 1,
                   "stray downgrade_response at directory ", node_);
@@ -390,7 +372,7 @@ DirectoryController::onDowngradeAck(Entry &e, const Msg &m)
 }
 
 void
-DirectoryController::onFwdAck(Entry &e, const Msg &m)
+DirectoryController::onFwdAck(DirEntry &e, const Msg &m)
 {
     cosmos_assert(e.busy && e.fwdAckPending,
                   "stray fwd_ack at directory ", node_);
@@ -413,7 +395,7 @@ DirectoryController::onFwdAck(Entry &e, const Msg &m)
 void
 DirectoryController::serve(const Msg &m)
 {
-    Entry &e = entry(m.block);
+    DirEntry &e = entry(m.block);
     cosmos_assert(e.busy, "serve() without busy entry");
     e.current = m;
     e.genuineUpgrade = false;
@@ -455,7 +437,7 @@ DirectoryController::serve(const Msg &m)
 }
 
 void
-DirectoryController::serveRead(Entry &e, const Msg &m)
+DirectoryController::serveRead(DirEntry &e, const Msg &m)
 {
     switch (e.state) {
       case DirState::idle:
@@ -500,7 +482,7 @@ DirectoryController::serveRead(Entry &e, const Msg &m)
 }
 
 void
-DirectoryController::serveWrite(Entry &e, const Msg &m,
+DirectoryController::serveWrite(DirEntry &e, const Msg &m,
                                 bool genuine_upgrade)
 {
     e.genuineUpgrade = genuine_upgrade;
@@ -558,10 +540,10 @@ DirectoryController::serveWrite(Entry &e, const Msg &m,
 bool
 DirectoryController::voluntaryRecall(Addr block)
 {
-    Entry *found = entries_.find(block);
+    DirEntry *found = entries_.find(block);
     if (found == nullptr)
         return false;
-    Entry &e = *found;
+    DirEntry &e = *found;
     if (e.busy || e.state != DirState::exclusive)
         return false;
     e.busy = true;
@@ -577,7 +559,7 @@ DirectoryController::voluntaryRecall(Addr block)
 void
 DirectoryController::finish(Addr block)
 {
-    Entry &e = entry(block);
+    DirEntry &e = entry(block);
     cosmos_assert(e.busy, "finish() on idle entry");
     cosmos_assert(!e.fwdAckPending,
                   "finish() while a fwd_ack is outstanding");

@@ -67,13 +67,13 @@ class DirectorySpeculation
     virtual bool grantExclusiveOnRead(Addr block, NodeId requester) = 0;
 
     /**
-     * A recall of @p block held exclusive at @p owner is about to be
-     * sent on behalf of @p requester, and MachineConfig::
-     * forwardingPredicted asks the predictor to arbitrate the
-     * transfer shape. Return true to forward (owner answers the
-     * requester directly, three hops), false to fall back to the
-     * four-hop home reply. Both shapes are legal protocol, so a wrong
-     * answer costs only latency (§4.3's first recovery class).
+     * A forwardable recall of @p block held exclusive at @p owner is
+     * about to be sent on behalf of @p requester. The directory asks
+     * only when MachineConfig::forwardingPredicted is set. Return
+     * true to forward (owner answers the requester directly, three
+     * hops), false to fall back to the four-hop home reply. Both
+     * shapes are legal protocol, so a wrong answer costs only latency
+     * (§4.3's first recovery class).
      */
     virtual bool
     forwardOwnerTransfer(Addr block, NodeId owner, NodeId requester,
@@ -88,26 +88,44 @@ class DirectorySpeculation
 };
 
 /**
- * Protocol-relevant state of one directory entry at a delivery
- * boundary, including the in-transaction fields (busy flag, the
- * request being served, outstanding acks, queued requests). Entries
- * are sorted by block inside a DirectorySnapshot so equal states
- * produce byte-equal snapshots.
+ * One directory entry: the quiescent state of §2.1 (idle, shared by a
+ * sharer set, or exclusive at an owner) plus the transaction in
+ * flight (busy flag, the request being served, outstanding acks,
+ * queued requests). The controller keeps one per block, and
+ * snapshot()/restore() copy it whole.
  */
-struct DirEntrySnapshot
+struct DirEntry
 {
-    Addr block = 0;
     DirState state = DirState::idle;
     std::uint64_t sharers = 0;
     NodeId owner = invalid_node;
+
     bool busy = false;
-    unsigned pendingAcks = 0;
-    bool genuineUpgrade = false;
-    bool recall = false;
-    bool fwdData = false;
-    bool fwdAckPending = false;
-    Msg current{};
+    /// requests queued behind the busy entry, oldest first
     std::vector<Msg> waiting;
+    Msg current{};
+    unsigned pendingAcks = 0;
+    /// current is an upgrade from a live sharer (answer with
+    /// upgrade_response rather than get_rw_response).
+    bool genuineUpgrade = false;
+    /// in-flight transaction is a voluntary owner recall with no
+    /// requester to answer.
+    bool recall = false;
+    /// the in-flight recall was forwarded: the former owner
+    /// answers the requester directly and the home only settles
+    /// state on the revision message.
+    bool fwdData = false;
+    /// still awaiting the requester's fwd_ack; the entry must not
+    /// finish() until it arrives.
+    bool fwdAckPending = false;
+};
+
+/** One entry of a DirectorySnapshot: the entry and its block.
+ *  Entries are sorted by block so equal states produce byte-equal
+ *  snapshots. */
+struct DirEntrySnapshot : DirEntry
+{
+    Addr block = 0;
 };
 
 /** Whole-directory snapshot (stats excluded; see CacheSnapshot). */
@@ -192,6 +210,11 @@ class DirectoryController
     /** True if a transaction is in flight for @p block. */
     bool busy(Addr block) const;
 
+    /** The guard view dispatch derives @p block's guards from (an
+     *  absent entry reads as idle). The model stepper reads each
+     *  handler's pre- and post-phase through it. */
+    DirGuardView guardView(Addr block) const;
+
     NodeId node() const { return node_; }
     const DirectoryStats &stats() const { return stats_; }
 
@@ -209,44 +232,16 @@ class DirectoryController
     void restore(const DirectorySnapshot &s);
 
   private:
-    struct Entry
-    {
-        DirState state = DirState::idle;
-        std::uint64_t sharers = 0;
-        NodeId owner = invalid_node;
-
-        bool busy = false;
-        /// requests queued behind the busy entry, oldest first
-        std::vector<Msg> waiting;
-        Msg current{};
-        unsigned pendingAcks = 0;
-        /// current is an upgrade from a live sharer (answer with
-        /// upgrade_response rather than get_rw_response).
-        bool genuineUpgrade = false;
-        /// in-flight transaction is a voluntary owner recall with no
-        /// requester to answer.
-        bool recall = false;
-        /// the in-flight recall was forwarded: the former owner
-        /// answers the requester directly and the home only settles
-        /// state on the revision message.
-        bool fwdData = false;
-        /// still awaiting the requester's fwd_ack; the entry must not
-        /// finish() until it arrives.
-        bool fwdAckPending = false;
-    };
-
     /**
      * The entry of @p block, created idle on first use. entries_ is a
      * FlatMap, which moves its values when it inserts, so the
      * reference is valid only until the next insert into entries_.
      * No action inserts another block's entry while it holds one.
      */
-    Entry &entry(Addr block);
+    DirEntry &entry(Addr block);
     /** The guard-relevant slice of @p e, in the shape the transition
-     *  table's guard predicates are declared over. The model stepper
-     *  builds the identical view from a DirEntrySnapshot, so the two
-     *  always derive the same guards. */
-    static DirGuardView guardView(const Entry &e);
+     *  table's guard predicates are declared over. */
+    static DirGuardView guardView(const DirEntry &e);
 
     // Named action fragments the transition table's rows reference
     // (ActionId::dir_*). handleMessage() looks the row up and runs
@@ -254,19 +249,19 @@ class DirectoryController
     // bodies so trapped reorder-mode failures keep their messages.
     /** inval_ro_response bookkeeping; answers the writer on the last
      *  ack. */
-    void onInvalAck(Entry &e, const Msg &m);
+    void onInvalAck(DirEntry &e, const Msg &m);
     /** inval_rw_response: settle a recall/write/forwarded transfer. */
-    void onRevision(Entry &e, const Msg &m);
+    void onRevision(DirEntry &e, const Msg &m);
     /** downgrade_response: owner kept a shared copy (DASH policy). */
-    void onDowngradeAck(Entry &e, const Msg &m);
+    void onDowngradeAck(DirEntry &e, const Msg &m);
     /** fwd_ack from the requester closing a three-hop transfer. */
-    void onFwdAck(Entry &e, const Msg &m);
+    void onFwdAck(DirEntry &e, const Msg &m);
 
     /** Transition @p e, keeping the per-state transition census. */
-    void enter(Entry &e, DirState st);
+    void enter(DirEntry &e, DirState st);
     void serve(const Msg &m);
-    void serveRead(Entry &e, const Msg &m);
-    void serveWrite(Entry &e, const Msg &m, bool genuine_upgrade);
+    void serveRead(DirEntry &e, const Msg &m);
+    void serveWrite(DirEntry &e, const Msg &m, bool genuine_upgrade);
     void finish(Addr block);
     /**
      * Send a response and complete the block's transaction. The
@@ -286,7 +281,7 @@ class DirectoryController
     sim::EventQueue &eq_;
     SendFn sendFn_;
 
-    FlatMap<Addr, Entry> entries_;
+    FlatMap<Addr, DirEntry> entries_;
     DirectoryStats stats_;
     DirectorySpeculation *speculation_ = nullptr;
 };

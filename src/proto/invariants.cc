@@ -1,134 +1,154 @@
 #include "proto/invariants.hh"
 
-#include <map>
-#include <sstream>
+#include <algorithm>
+#include <bit>
+
+#include "common/log.hh"
 
 namespace cosmos::proto
 {
 
-namespace
+void
+BlockView::addLine(NodeId node, LineState st)
 {
-
-struct BlockView
-{
-    std::uint64_t roHolders = 0;
-    std::uint64_t rwHolders = 0;
-    bool transient = false;
-};
-
-std::string
-hexBlock(Addr a)
-{
-    std::ostringstream os;
-    os << "0x" << std::hex << a;
-    return os.str();
+    switch (st) {
+      case LineState::invalid:
+        break;
+      case LineState::read_only:
+        readers |= std::uint64_t{1} << node;
+        break;
+      case LineState::read_write:
+        writers |= std::uint64_t{1} << node;
+        break;
+      default:
+        missOutstanding = true;
+        break;
+    }
 }
 
-} // namespace
+std::vector<NodeId>
+nodesOf(std::uint64_t mask)
+{
+    std::vector<NodeId> nodes;
+    for (NodeId n = 0; mask != 0; ++n, mask >>= 1)
+        if (mask & 1)
+            nodes.push_back(n);
+    return nodes;
+}
+
+std::vector<Breach>
+brokenRules(const BlockView &v)
+{
+    const std::uint64_t ro = v.readers;
+    const std::uint64_t rw = v.writers;
+    std::vector<Breach> breaches;
+    if (std::popcount(rw) > 1) {
+        breaches.push_back(
+            {CoherenceRule::multiple_writers, nodesOf(rw),
+             "more than one cache holds the block read_write"});
+    }
+    if (rw != 0 && ro != 0) {
+        const int readers = std::popcount(ro);
+        breaches.push_back(
+            {CoherenceRule::writer_and_readers, nodesOf(rw | ro),
+             detail::concat("writer node ", std::countr_zero(rw),
+                            " coexists with ", readers, " read_only cop",
+                            readers == 1 ? "y" : "ies")});
+    }
+    if (v.missOutstanding || v.homeBusy)
+        return breaches;
+
+    std::uint64_t culprits = 0;
+    std::string what;
+    switch (v.homeState) {
+      case DirState::idle:
+        if (ro != 0 || rw != 0) {
+            culprits = ro | rw;
+            what = "directory says idle but the block is cached";
+        }
+        break;
+      case DirState::shared:
+        if (rw != 0) {
+            culprits = rw;
+            what = "directory says shared but a cache holds the block "
+                   "read_write";
+        } else if (v.silentDrops ? (ro & ~v.sharers) != 0
+                                 : ro != v.sharers) {
+            // Under silent drops only a holder the list misses is at
+            // fault; otherwise the list must be exact.
+            culprits = v.silentDrops ? ro & ~v.sharers : ro ^ v.sharers;
+            what = detail::concat("sharer bits 0x", std::hex, v.sharers,
+                                  " disagree with read_only holders 0x",
+                                  ro);
+        }
+        break;
+      case DirState::exclusive: {
+        // An owner no node mask can hold names no node: an ownerless
+        // exclusive entry blames only the caches.
+        const std::uint64_t ownerBit =
+            v.owner < 64 ? std::uint64_t{1} << v.owner : 0;
+        if (ownerBit == 0 || rw != ownerBit) {
+            culprits = rw | ownerBit;
+            what = detail::concat("directory owner is node ", v.owner,
+                                  " but read_write holders are 0x",
+                                  std::hex, rw);
+        } else if (ro != 0) {
+            culprits = ro;
+            what = "directory says exclusive but read_only copies exist";
+        }
+        break;
+      }
+    }
+    if (!what.empty())
+        breaches.push_back({CoherenceRule::directory_mismatch,
+                            nodesOf(culprits), std::move(what)});
+    return breaches;
+}
+
+BlockView
+blockView(const Machine &machine, Addr block)
+{
+    BlockView v;
+    for (NodeId c = 0; c < machine.numNodes(); ++c)
+        v.addLine(c, machine.cache(c).state(block));
+    if (v.missOutstanding)
+        return v; // the rule does not read the home
+    const DirectoryController &dir =
+        machine.directory(machine.addrMap().home(block));
+    const DirGuardView home = dir.guardView(block);
+    v.homeBusy = home.busy;
+    v.homeState = static_cast<DirState>(home.state);
+    v.sharers = home.sharers;
+    v.owner = dir.owner(block);
+    v.silentDrops = machine.config().cacheCapacityBlocks != 0;
+    return v;
+}
+
+std::vector<Addr>
+knownBlocks(const Machine &machine)
+{
+    std::vector<Addr> blocks;
+    for (NodeId n = 0; n < machine.numNodes(); ++n) {
+        machine.cache(n).forEachLine(
+            [&](Addr b, LineState) { blocks.push_back(b); });
+        machine.directory(n).forEachEntry(
+            [&](Addr b, DirState, std::uint64_t, NodeId) {
+                blocks.push_back(b);
+            });
+    }
+    std::sort(blocks.begin(), blocks.end());
+    blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+    return blocks;
+}
 
 std::vector<std::string>
 checkCoherence(const Machine &machine)
 {
     std::vector<std::string> violations;
-    const NodeId n = machine.numNodes();
-
-    // Gather every cache's view of every block.
-    std::map<Addr, BlockView> views;
-    for (NodeId c = 0; c < n; ++c) {
-        machine.cache(c).forEachLine([&](Addr block, LineState st) {
-            BlockView &v = views[block];
-            switch (st) {
-              case LineState::invalid:
-                break;
-              case LineState::read_only:
-                v.roHolders |= std::uint64_t{1} << c;
-                break;
-              case LineState::read_write:
-                v.rwHolders |= std::uint64_t{1} << c;
-                break;
-              default:
-                v.transient = true;
-                break;
-            }
-        });
-    }
-
-    // Single-writer / multiple-reader.
-    for (const auto &[block, v] : views) {
-        if (v.transient)
-            continue;
-        if (std::popcount(v.rwHolders) > 1)
-            violations.push_back("block " + hexBlock(block) +
-                                 " has multiple writers");
-        if (v.rwHolders != 0 && v.roHolders != 0)
-            violations.push_back("block " + hexBlock(block) +
-                                 " has a writer and readers");
-    }
-
-    // Every valid cached block must be known to its home directory:
-    // an absent entry reads as idle, so one lookup per block decides.
-    for (const auto &[block, v] : views) {
-        if (v.transient || (v.roHolders == 0 && v.rwHolders == 0))
-            continue;
-        const NodeId home = machine.addrMap().home(block);
-        if (machine.directory(home).state(block) == DirState::idle)
-            violations.push_back("block " + hexBlock(block) +
-                                 " is cached but unknown to its home "
-                                 "directory");
-    }
-
-    // Directory bookkeeping must match cache states.
-    for (NodeId d = 0; d < n; ++d) {
-        machine.directory(d).forEachEntry(
-            [&](Addr block, DirState st, std::uint64_t sharers,
-                NodeId owner) {
-                if (machine.directory(d).busy(block))
-                    return; // mid-transaction: skip
-                auto it = views.find(block);
-                const BlockView v =
-                    it == views.end() ? BlockView{} : it->second;
-                if (v.transient)
-                    return;
-                switch (st) {
-                  case DirState::idle:
-                    if (v.roHolders || v.rwHolders)
-                        violations.push_back(
-                            "dir says idle but block " + hexBlock(block) +
-                            " is cached");
-                    break;
-                  case DirState::shared:
-                    if (v.rwHolders)
-                        violations.push_back(
-                            "dir says shared but block " +
-                            hexBlock(block) + " has a writer");
-                    if (machine.config().cacheCapacityBlocks != 0) {
-                        // Silent drops make the directory's sharer
-                        // list a superset of the real holders.
-                        if ((v.roHolders & ~sharers) != 0)
-                            violations.push_back(
-                                "dir sharer set misses a holder of "
-                                "block " +
-                                hexBlock(block));
-                    } else if (v.roHolders != sharers) {
-                        violations.push_back(
-                            "dir sharer set mismatch for block " +
-                            hexBlock(block));
-                    }
-                    break;
-                  case DirState::exclusive:
-                    if (v.rwHolders != (std::uint64_t{1} << owner))
-                        violations.push_back(
-                            "dir owner mismatch for block " +
-                            hexBlock(block));
-                    if (v.roHolders)
-                        violations.push_back(
-                            "dir says exclusive but block " +
-                            hexBlock(block) + " has readers");
-                    break;
-                }
-            });
-    }
-
+    for (const Addr block : knownBlocks(machine))
+        for (const Breach &b : brokenRules(blockView(machine, block)))
+            violations.push_back(
+                detail::concat("block 0x", std::hex, block, ": ", b.detail));
     return violations;
 }
 

@@ -124,9 +124,10 @@ std::string guardContext(GuardBits g);
 GuardBits cacheMsgGuard(const Msg &m);
 
 /**
- * The slice of directory-entry state guards are evaluated over.
- * Buildable both from the live Entry (directory_controller.cc) and
- * from a DirEntrySnapshot (model stepper), so the two always agree.
+ * The slice of directory-entry state guards are evaluated over. The
+ * directory controller builds it from its DirEntry for dispatch and
+ * hands the same view to the model stepper (guardView(block)), so
+ * the two always agree.
  */
 struct DirGuardView
 {

@@ -214,32 +214,44 @@ TEST(InvariantEngine, HistoryKeepsTheLastDeliveriesOldestFirst)
     EXPECT_TRUE(lostInvalidationHistory(0).empty());
 }
 
-/** Nodes named by the quiescent sweep of a 3-node machine where node 1
- *  holds block 0 read_only while its home lists only node 2. */
-std::vector<NodeId>
-unlistedHolderCulprits(unsigned cacheCapacityBlocks)
+/** The quiescent sweep's violations on a 3-node machine restored so
+ *  that node 1 holds block 0 in state @p line and block 0's home entry
+ *  is @p home. */
+std::vector<check::Violation>
+sweepRestored(proto::LineState line, proto::DirEntrySnapshot home,
+              unsigned cacheCapacityBlocks = 0)
 {
     MachineConfig cfg = smallConfig(3);
     cfg.cacheCapacityBlocks = cacheCapacityBlocks;
     proto::Machine machine(cfg);
     proto::MachineSnapshot s;
     machine.snapshot(s);
-    s.caches[1].lines = {{0, proto::LineState::read_only}};
-    proto::DirEntrySnapshot e;
-    e.block = 0;
-    e.state = proto::DirState::shared;
-    e.sharers = std::uint64_t{1} << 2;
-    s.directories[machine.addrMap().home(0)].entries = {e};
+    s.caches[1].lines = {{0, line}};
+    home.block = 0;
+    s.directories[machine.addrMap().home(0)].entries = {home};
     machine.restore(s);
 
     check::InvariantEngine engine(machine);
     engine.checkQuiescent();
-    EXPECT_EQ(engine.violations().size(), 1u);
-    if (engine.violations().empty())
+    return engine.violations();
+}
+
+/** Nodes named by the quiescent sweep of a 3-node machine where node 1
+ *  holds block 0 read_only while its home lists only node 2. */
+std::vector<NodeId>
+unlistedHolderCulprits(unsigned cacheCapacityBlocks)
+{
+    proto::DirEntrySnapshot e;
+    e.state = proto::DirState::shared;
+    e.sharers = std::uint64_t{1} << 2;
+    const std::vector<check::Violation> violations =
+        sweepRestored(proto::LineState::read_only, e, cacheCapacityBlocks);
+    EXPECT_EQ(violations.size(), 1u);
+    if (violations.empty())
         return {};
-    EXPECT_EQ(engine.violations().front().kind,
+    EXPECT_EQ(violations.front().kind,
               check::ViolationKind::directory_mismatch);
-    return engine.violations().front().nodes;
+    return violations.front().nodes;
 }
 
 TEST(InvariantEngine, ReplacementMismatchNamesOnlyUnlistedHolders)
@@ -249,6 +261,21 @@ TEST(InvariantEngine, ReplacementMismatchNamesOnlyUnlistedHolders)
     // fault. Without replacement the list must be exact, so both are.
     EXPECT_EQ(unlistedHolderCulprits(4), std::vector<NodeId>{1});
     EXPECT_EQ(unlistedHolderCulprits(0), (std::vector<NodeId>{1, 2}));
+}
+
+TEST(InvariantEngine, OwnerlessExclusiveEntryNamesOnlyTheHolder)
+{
+    // Node 1 holds block 0 read_write while its home says exclusive
+    // with no owner. The holder is the only culprit: an owner no node
+    // mask can hold must not add a phantom node to the report.
+    proto::DirEntrySnapshot e;
+    e.state = proto::DirState::exclusive;
+    const std::vector<check::Violation> violations =
+        sweepRestored(proto::LineState::read_write, e);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations.front().kind,
+              check::ViolationKind::directory_mismatch);
+    EXPECT_EQ(violations.front().nodes, std::vector<NodeId>{1});
 }
 
 TEST(InvariantEngine, NoteFailureRecordsAssertion)

@@ -241,7 +241,6 @@ TEST(ForwardGate, PredictionGatesThreeHopForwarding)
     accel::OnlineOptions opts;
     opts.enableReplyExclusive = false;
     opts.enableVoluntaryRecall = false;
-    opts.enableForwardGate = true;
     opts.minConfidence = 2;
     const auto acc = harness::runAccelerated(cfg, opts);
 
@@ -256,16 +255,15 @@ TEST(ForwardGate, PredictionGatesThreeHopForwarding)
 
 TEST(ForwardGate, DisabledGateForwardsEverything)
 {
-    // forwardingPredicted consults the hook, but with the gate
-    // option off the accelerator always answers "forward": the run
-    // must match plain --forwarding exactly.
+    // Without forwardingPredicted the directory never asks the
+    // accelerator, so an accelerated forwarding run must match plain
+    // --forwarding exactly and count no query.
     harness::RunConfig cfg;
     cfg.app = "micro_migratory";
     cfg.checkInvariants = false;
     cfg.machine.forwarding = true;
     const auto base = harness::runWorkload(cfg);
 
-    cfg.machine.forwardingPredicted = true;
     accel::OnlineOptions opts;
     opts.enableReplyExclusive = false;
     opts.enableVoluntaryRecall = false;

@@ -345,7 +345,8 @@ TEST(Invariants, DetectNothingOnFreshMachine)
 TEST(Invariants, DetectsAnInjectedDesync)
 {
     // Hand a cache an exclusive copy behind the directory's back: the
-    // checker must notice the cached-but-unknown block.
+    // checker must notice that the idle home does not know the
+    // cached block.
     Machine m(smallMachine());
     const Addr block = blockHomedAt(m, 0);
     m.cache(2).access(block, true, []() {});
@@ -359,7 +360,8 @@ TEST(Invariants, DetectsAnInjectedDesync)
     // still in flight), so the machine is incoherent.
     const auto violations = checkCoherence(m);
     ASSERT_FALSE(violations.empty());
-    EXPECT_NE(violations.front().find("unknown to its home"),
+    EXPECT_NE(violations.front().find(
+                  "directory says idle but the block is cached"),
               std::string::npos);
 }
 
