@@ -95,24 +95,36 @@ grep -q '"kind": "writer_and_readers"' artifacts/fuzz_planted_bug.json
 echo "== fuzz smoke OK (200 clean seeds, planted bug caught)"
 
 # Model-check smoke: the exhaustive checker must close out the
-# 2-node and 3-node spaces cleanly with the pinned golden counts (a
-# count drift is a protocol-semantics change that must be reviewed)
-# and a valid cosmos-model-v2 artifact. Negative leg: the planted
-# lost-invalidation bug MUST produce an SWMR counterexample, and that
-# counterexample MUST reproduce when replayed through the real
-# simulator (cosmos fuzz --replay-model exits non-zero on
+# 2-node and 3-node spaces, and the 3-node downgrade-policy spaces
+# with and without forwarding, cleanly with the pinned golden counts
+# (a count drift is a protocol-semantics change that must be
+# reviewed) and a valid cosmos-model-v2 artifact. Negative leg: the
+# planted lost-invalidation bug MUST produce an SWMR counterexample,
+# and that counterexample MUST reproduce when replayed through the
+# real simulator (cosmos fuzz --replay-model exits non-zero on
 # confirmation -- a clean replay means the bridge is broken).
 ./build/tools/cosmos model --out artifacts/model_2n.json > /dev/null
 ./build/tools/cosmos model --nodes 3 \
     --out artifacts/model_3n.json > /dev/null
+./build/tools/cosmos model --nodes 3 --policy downgrade \
+    --out artifacts/model_3n_downgrade.json > /dev/null
+./build/tools/cosmos model --nodes 3 --policy downgrade --forwarding \
+    --out artifacts/model_3n_downgrade_fwd.json > /dev/null
 python3 scripts/check_json.py --schema model \
-    artifacts/model_2n.json artifacts/model_3n.json
+    artifacts/model_2n.json artifacts/model_3n.json \
+    artifacts/model_3n_downgrade.json artifacts/model_3n_downgrade_fwd.json
 grep -q '"states": 48,' artifacts/model_2n.json
 grep -q '"transitions": 86,' artifacts/model_2n.json
 grep -q '"consistent": true' artifacts/model_2n.json
 grep -q '"states": 488,' artifacts/model_3n.json
 grep -q '"transitions": 1152,' artifacts/model_3n.json
 grep -q '"consistent": true' artifacts/model_3n.json
+grep -q '"states": 479,' artifacts/model_3n_downgrade.json
+grep -q '"transitions": 1128,' artifacts/model_3n_downgrade.json
+grep -q '"consistent": true' artifacts/model_3n_downgrade.json
+grep -q '"states": 857,' artifacts/model_3n_downgrade_fwd.json
+grep -q '"transitions": 2034,' artifacts/model_3n_downgrade_fwd.json
+grep -q '"consistent": true' artifacts/model_3n_downgrade_fwd.json
 if ./build/tools/cosmos model --inject-ignore-inval 1 \
     --out artifacts/model_planted_bug.json \
     --counterexample-out artifacts/model_counterexample.txt \
@@ -132,8 +144,8 @@ if ./build/tools/cosmos fuzz \
          "simulator" >&2
     exit 1
 fi
-echo "== model-check smoke OK (48/488-state closures, planted bug" \
-     "caught and replayed)"
+echo "== model-check smoke OK (48/488-state closures, 479/857-state" \
+     "downgrade closures, planted bug caught and replayed)"
 
 # Forwarding model-check: the fwd_ack handshake must close every
 # forwarded space with zero violations at the pinned golden counts
@@ -352,7 +364,7 @@ echo "== tsan replay/trace-cache/sharded-bank/model-explorer/tracing" \
      "suites ($(($(now_ms) - start)) ms)"
 
 # AddressSanitizer + UBSan pass over the simulator, protocol, checker,
-# and model suites: the model checker snapshots/restores live
+# and model suites: the model checker restores and reads back live
 # controllers thousands of times per run, the event queue
 # placement-news, relocates and destroys callables by hand, and
 # FlatMap moves controller state on insert -- exactly where lifetime

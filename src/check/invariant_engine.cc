@@ -192,8 +192,8 @@ InvariantEngine::checkQuiescent()
     }
     for (NodeId d = 0; d < n; ++d) {
         machine_.directory(d).forEachEntry(
-            [&](Addr b, proto::DirState, std::uint64_t, NodeId) {
-                if (machine_.directory(d).busy(b)) {
+            [&](Addr b, const proto::DirEntry &e) {
+                if (e.busy) {
                     Violation v;
                     v.kind = ViolationKind::liveness;
                     v.block = b;

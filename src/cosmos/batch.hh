@@ -25,9 +25,10 @@
  * bit-identical to an unbatched replay; the golden suite gates on
  * this.
  *
- * The same staged form is the unit of routing for the sharded bank
- * (sharded_bank.hh): a chunk is partitioned once into per-shard SoA
- * buffers, and each shard applies its slice independently.
+ * The sharded bank (sharded_bank.hh) routes whole records instead:
+ * it copies each chunk's TraceRecords into per-shard buffers by
+ * block, and each shard's bank stages its buffer into this SoA form
+ * in observeChunk() and applies it independently.
  */
 
 #ifndef COSMOS_COSMOS_BATCH_HH

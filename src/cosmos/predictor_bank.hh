@@ -87,15 +87,6 @@ class PredictorBank
                       const BatchConfig &bc = {});
 
     /**
-     * Apply one staged batch module-major (routing layers stage
-     * records into SoA form themselves; see sharded_bank.hh). The
-     * batch is stably partitioned by destination module and each
-     * module's slice runs the probe/apply pipeline consecutively.
-     * Cosmos banks only.
-     */
-    void applyStaged(const SoaBatch &batch, const BatchConfig &bc);
-
-    /**
      * Pre-size every predictor's block table from a
      * trace::moduleBlockCensus() vector (index 2*node + role), so a
      * subsequent replay performs no block-table rehash at all. A
@@ -132,6 +123,14 @@ class PredictorBank
 
   private:
     std::size_t index(NodeId n, proto::Role role) const;
+
+    /**
+     * Apply one batch observeChunk() staged into stage_,
+     * module-major: the batch is stably partitioned by destination
+     * module and each module's slice runs the probe/apply pipeline
+     * consecutively. Cosmos banks only.
+     */
+    void applyStaged(const SoaBatch &batch, const BatchConfig &bc);
 
     /**
      * Two-pass probe/apply pipeline over one module's slice of a

@@ -17,6 +17,9 @@ ModelConfig::validate() const
     if (reorder >= max_queue)
         cosmos_fatal("model reorder bound must be < ", max_queue,
                      ", got ", reorder);
+    if (ignoreInvalEvery > max_ignore_inval_every)
+        cosmos_fatal("model lost-invalidation period must be <= ",
+                     max_ignore_inval_every, ", got ", ignoreInvalEvery);
 }
 
 MachineConfig

@@ -5,7 +5,10 @@
  * A GlobalState is the Murphi-style cross product of every
  * controller's protocol state plus the in-flight message pool, held
  * in fixed-capacity arrays so states copy, hash, and compare without
- * touching the heap. The pool is a per-(src, dst)-channel FIFO --
+ * touching the heap. The model keeps the pool itself because in the
+ * simulator an in-flight message lives only inside the type-erased
+ * callable stored in an event-queue slot, which cannot be inspected
+ * or copied. The pool is a per-(src, dst)-channel FIFO --
  * the real network's delivery contract -- and the `reorder` knob of
  * ModelConfig lets the checker additionally explore bounded
  * overtaking (delivering the i-th queued message of a channel for
@@ -48,6 +51,10 @@ constexpr unsigned max_queue = 8;
 /** Sentinel for "no owner" in the packed owner byte. */
 constexpr std::uint8_t no_node = 0xFF;
 
+/** Largest planted lost-invalidation period: GlobalState counts its
+ *  residue in one byte per node. */
+constexpr unsigned max_ignore_inval_every = 256;
+
 /** Configuration of one model-checking run. */
 struct ModelConfig
 {
@@ -66,7 +73,8 @@ struct ModelConfig
      *  oracle; the checker must find the three-hop race). */
     bool legacyForwarding = false;
 
-    /** Planted lost-invalidation bug (MachineConfig::fault). */
+    /** Planted lost-invalidation bug (MachineConfig::fault); at most
+     *  max_ignore_inval_every. */
     unsigned ignoreInvalEvery = 0;
 
     /** Bounds-check; calls cosmos_fatal on bad values. */

@@ -68,43 +68,43 @@ Stepper::fromMsg(const proto::Msg &m) const
 void
 Stepper::restoreCache(NodeId n, const GlobalState &s)
 {
-    cacheScratch_.lines.clear();
-    for (unsigned b = 0; b < mc_.numBlocks; ++b) {
-        const auto st = static_cast<proto::LineState>(s.line[n][b]);
-        if (st != proto::LineState::invalid)
-            cacheScratch_.lines.emplace_back(mc_.blockAddr(b), st);
-    }
-    cacheScratch_.invalResidue = s.invalResidue[n];
-    caches_[n]->restore(cacheScratch_);
+    for (unsigned b = 0; b < mc_.numBlocks; ++b)
+        caches_[n]->restoreLine(
+            mc_.blockAddr(b), static_cast<proto::LineState>(s.line[n][b]));
+    caches_[n]->setInvalResidue(s.invalResidue[n]);
 }
 
 void
 Stepper::restoreDirectory(NodeId n, const GlobalState &s)
 {
-    dirScratch_.entries.clear();
+    proto::DirEntry e;
     for (unsigned b = 0; b < mc_.numBlocks; ++b) {
         if (mc_.home(b) != n)
             continue;
-        const DirEntryState &e = s.dir[b];
-        if (e.state == proto::DirState::idle && !e.busy)
-            continue;
-        proto::DirEntrySnapshot es;
-        es.block = mc_.blockAddr(b);
-        es.state = e.state;
-        es.sharers = e.sharers;
-        es.owner = e.owner == no_node ? invalid_node : NodeId{e.owner};
-        es.busy = e.busy;
-        es.pendingAcks = e.pendingAcks;
-        es.genuineUpgrade = e.genuineUpgrade;
-        es.recall = e.recall;
-        es.fwdData = e.fwdData;
-        es.fwdAckPending = e.fwdAckPending;
-        es.current = toMsg(e.current);
-        for (unsigned i = 0; i < e.waiting.count; ++i)
-            es.waiting.push_back(toMsg(e.waiting.items[i]));
-        dirScratch_.entries.push_back(std::move(es));
+        const DirEntryState &es = s.dir[b];
+        e.state = es.state;
+        e.sharers = es.sharers;
+        e.owner = es.owner == no_node ? invalid_node : NodeId{es.owner};
+        e.busy = es.busy;
+        e.pendingAcks = es.pendingAcks;
+        e.genuineUpgrade = es.genuineUpgrade;
+        e.recall = es.recall;
+        e.fwdData = es.fwdData;
+        e.fwdAckPending = es.fwdAckPending;
+        e.current = toMsg(es.current);
+        e.waiting.clear();
+        for (unsigned i = 0; i < es.waiting.count; ++i)
+            e.waiting.push_back(toMsg(es.waiting.items[i]));
+        dirs_[n]->restoreEntry(mc_.blockAddr(b), e);
     }
-    dirs_[n]->restore(dirScratch_);
+}
+
+const proto::DirEntry &
+Stepper::entryOf(NodeId n, Addr block) const
+{
+    static const proto::DirEntry idle;
+    const proto::DirEntry *e = dirs_[n]->findEntry(block);
+    return e == nullptr ? idle : *e;
 }
 
 void
@@ -144,52 +144,45 @@ Stepper::readBack(GlobalState &out)
         if (cacheTouched_ & bit) {
             for (unsigned b = 0; b < mc_.numBlocks; ++b)
                 out.line[n][b] = static_cast<std::uint8_t>(
-                    proto::LineState::invalid);
-            caches_[n]->snapshot(cacheScratch_);
-            for (const auto &[block, st] : cacheScratch_.lines)
-                out.line[n][blockIdx(block)] =
-                    static_cast<std::uint8_t>(st);
+                    caches_[n]->state(mc_.blockAddr(b)));
             out.invalResidue[n] =
-                static_cast<std::uint8_t>(cacheScratch_.invalResidue);
+                static_cast<std::uint8_t>(caches_[n]->invalResidue());
             held_.line[n] = out.line[n];
             held_.invalResidue[n] = out.invalResidue[n];
         }
         if (!(dirTouched_ & bit))
             continue;
 
-        dirs_[n]->snapshot(dirScratch_);
-        for (unsigned b = 0; b < mc_.numBlocks; ++b)
-            if (mc_.home(b) == n)
-                out.dir[b] = DirEntryState{};
-        for (const proto::DirEntrySnapshot &es : dirScratch_.entries) {
-            DirEntryState &e = out.dir[blockIdx(es.block)];
-            e.state = es.state;
-            e.sharers = static_cast<std::uint8_t>(es.sharers);
-            e.owner = es.owner == invalid_node
+        for (unsigned b = 0; b < mc_.numBlocks; ++b) {
+            if (mc_.home(b) != n)
+                continue;
+            const proto::DirEntry &live = entryOf(n, mc_.blockAddr(b));
+            DirEntryState &e = out.dir[b];
+            e = DirEntryState{};
+            e.state = live.state;
+            e.sharers = static_cast<std::uint8_t>(live.sharers);
+            e.owner = live.owner == invalid_node
                           ? no_node
-                          : static_cast<std::uint8_t>(es.owner);
-            e.busy = es.busy;
+                          : static_cast<std::uint8_t>(live.owner);
+            e.busy = live.busy;
             // Normalize fields that are only meaningful while the
             // entry is mid-transaction: the live controller leaves
             // the last transaction's request behind, and carrying it
             // into the encoding would split identical protocol
             // states.
-            if (es.busy) {
-                e.pendingAcks =
-                    static_cast<std::uint8_t>(es.pendingAcks);
-                e.genuineUpgrade = es.genuineUpgrade;
-                e.recall = es.recall;
-                e.fwdData = es.fwdData;
-                e.fwdAckPending = es.fwdAckPending;
-                if (!es.recall)
-                    e.current = fromMsg(es.current);
+            if (live.busy) {
+                e.pendingAcks = static_cast<std::uint8_t>(live.pendingAcks);
+                e.genuineUpgrade = live.genuineUpgrade;
+                e.recall = live.recall;
+                e.fwdData = live.fwdData;
+                e.fwdAckPending = live.fwdAckPending;
+                if (!live.recall)
+                    e.current = fromMsg(live.current);
             }
-            for (const proto::Msg &w : es.waiting)
+            for (const proto::Msg &w : live.waiting)
                 e.waiting.push(fromMsg(w));
+            held_.dir[b] = e;
         }
-        for (unsigned b = 0; b < mc_.numBlocks; ++b)
-            if (mc_.home(b) == n)
-                held_.dir[b] = out.dir[b];
     }
 }
 
@@ -239,8 +232,7 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
             sample.post = static_cast<std::uint8_t>(
                 caches_[m.dst]->state(m.block));
         } else {
-            const proto::DirGuardView pre =
-                dirs_[m.dst]->guardView(m.block);
+            const proto::DirEntry &pre = entryOf(m.dst, m.block);
             sample.pre = static_cast<std::uint8_t>(proto::dirPhaseOf(pre));
             // Same single source of truth as the cache branch: the
             // guard predicates over the directory's hidden state (ack
@@ -251,7 +243,7 @@ Stepper::runCascade(Result &out, std::vector<proto::Msg> &worklist,
             dirs_[m.dst]->handleMessage(m);
             drainInto(sample, worklist, work, m.dst);
             sample.post = static_cast<std::uint8_t>(
-                proto::dirPhaseOf(dirs_[m.dst]->guardView(m.block)));
+                proto::dirPhaseOf(entryOf(m.dst, m.block)));
         }
         out.samples.push_back(sample);
     }

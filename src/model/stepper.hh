@@ -4,8 +4,9 @@
  *
  * The model checker never re-implements the protocol: every
  * transition is computed by restoring a GlobalState into real
- * CacheController / DirectoryController instances (via the snapshot
- * API), applying one action, and reading the controllers back. The
+ * CacheController / DirectoryController instances (line by line and
+ * entry by entry, in the controllers' own LineState and DirEntry),
+ * applying one action, and reading the controllers back. The
  * transition relation explored is therefore the implementation's, by
  * construction -- the checker cannot drift from the code it checks.
  *
@@ -118,6 +119,10 @@ class Stepper
     void readBack(GlobalState &out);
     void restoreCache(NodeId n, const GlobalState &s);
     void restoreDirectory(NodeId n, const GlobalState &s);
+    /** Directory @p n's entry of @p block (an absent entry reads as
+     *  idle): read-backs and each handler's pre- and post-phase read
+     *  the directory through it. */
+    const proto::DirEntry &entryOf(NodeId n, Addr block) const;
     void runCascade(Result &out, std::vector<proto::Msg> &worklist,
                     GlobalState &work);
     void drainInto(Sample &sample, std::vector<proto::Msg> &worklist,
@@ -140,10 +145,6 @@ class Stepper
     std::vector<proto::Msg> captured_;
     /** Home-local messages awaiting delivery within the step. */
     std::vector<proto::Msg> worklist_;
-
-    /** Scratch snapshots (reused across steps to avoid allocation). */
-    proto::CacheSnapshot cacheScratch_;
-    proto::DirectorySnapshot dirScratch_;
 
     /** The state whose controller slices the controllers hold; bit n
      *  of cacheHeld_ / dirHeld_ says whether cache / directory n

@@ -1,6 +1,5 @@
 #include "proto/cache_controller.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/log.hh"
@@ -95,37 +94,25 @@ CacheController::forEachLine(
 }
 
 void
-CacheController::snapshot(CacheSnapshot &out) const
+CacheController::restoreLine(Addr block, LineState st)
 {
-    out.lines.clear();
-    out.lines.reserve(lines_.size());
-    lines_.forEach(
-        [&](Addr block, LineState st) { out.lines.emplace_back(block, st); });
-    std::sort(out.lines.begin(), out.lines.end());
-    out.invalResidue = cfg_.fault.ignoreInvalEvery == 0
-                           ? 0
-                           : ignoredInvalTick_ %
-                                 cfg_.fault.ignoreInvalEvery;
+    // setState() keeps the census; a restore leaves the stats alone.
+    const auto entries = stats_.stateEntries;
+    setState(block, st);
+    stats_.stateEntries = entries;
+    if (st == LineState::invalid || st == LineState::read_only ||
+        st == LineState::read_write)
+        pending_.erase(block);
+    else
+        pending_.obtain(block) = []() {};
 }
 
-void
-CacheController::restore(const CacheSnapshot &s, DoneFn on_complete)
+unsigned
+CacheController::invalResidue() const
 {
-    lines_.clear();
-    pending_.clear();
-    validLines_ = 0;
-    ignoredInvalTick_ = s.invalResidue;
-    if (!on_complete)
-        on_complete = []() {};
-    for (const auto &[block, st] : s.lines) {
-        cosmos_assert(st != LineState::invalid,
-                      "snapshot carries an invalid line");
-        lines_.insert(block, st);
-        if (st == LineState::read_only || st == LineState::read_write)
-            ++validLines_;
-        else
-            pending_.insert(block, on_complete);
-    }
+    return cfg_.fault.ignoreInvalEvery == 0
+               ? 0
+               : ignoredInvalTick_ % cfg_.fault.ignoreInvalEvery;
 }
 
 void

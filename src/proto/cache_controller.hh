@@ -68,25 +68,6 @@ struct CacheStats
 };
 
 /**
- * Protocol-relevant state of one cache controller at a delivery
- * boundary: the non-invalid lines (sorted by block, so two snapshots
- * of the same state compare equal) and the fault-injection residue.
- * Statistics are deliberately excluded -- they are observability, not
- * protocol state, and folding monotone counters into snapshots would
- * make equal protocol states compare unequal.
- *
- * Snapshots write into a caller-owned object so repeated
- * snapshot/restore cycles (the model checker takes one per explored
- * transition) reuse the vector's capacity instead of reallocating.
- */
-struct CacheSnapshot
-{
-    std::vector<std::pair<Addr, LineState>> lines;
-    /** ignoredInvalTick_ counter (mod fault.ignoreInvalEvery). */
-    unsigned invalResidue = 0;
-};
-
-/**
  * One node's cache controller.
  *
  * The owning Machine supplies the outbound message path and the event
@@ -143,17 +124,20 @@ class CacheController
     void forEachLine(
         const std::function<void(Addr, LineState)> &fn) const;
 
-    /** Capture the protocol state into @p out (stats excluded). */
-    void snapshot(CacheSnapshot &out) const;
-
     /**
-     * Replace the protocol state with @p s. Lines in a transient
-     * (wait_*) state get a fresh MSHR whose completion callback is
-     * @p on_complete (a no-op when empty) -- the model checker's
-     * stepper has no processor to wake, it derives progress from the
-     * line states themselves. Stats are left untouched.
+     * Put the line of @p block in state @p st, keeping the valid-line
+     * census (stats untouched). A transient (wait_*) line gets an
+     * MSHR that wakes nothing -- the model checker's stepper has no
+     * processor to wake, it derives progress from the line states
+     * themselves -- and any other state drops the block's MSHR.
      */
-    void restore(const CacheSnapshot &s, DoneFn on_complete = {});
+    void restoreLine(Addr block, LineState st);
+
+    /** The lost-invalidation counter modulo
+     *  FaultInjection::ignoreInvalEvery (0 when no fault is
+     *  planted): all a restore needs to resume the fault's rhythm. */
+    unsigned invalResidue() const;
+    void setInvalResidue(unsigned r) { ignoredInvalTick_ = r; }
 
   private:
     // Named action fragments the transition table's rows reference

@@ -42,36 +42,12 @@ DirectoryController::DirectoryController(NodeId node, const AddrMap &amap,
                   "full-map sharer bitmask supports at most 64 nodes");
 }
 
-DirGuardView
-DirectoryController::guardView(const DirEntry &e)
-{
-    DirGuardView v;
-    v.busy = e.busy;
-    v.state = static_cast<std::uint8_t>(e.state);
-    v.sharers = e.sharers;
-    v.pendingAcks = e.pendingAcks;
-    v.genuineUpgrade = e.genuineUpgrade;
-    v.recall = e.recall;
-    v.fwdData = e.fwdData;
-    v.fwdAckPending = e.fwdAckPending;
-    v.waitingEmpty = e.waiting.empty();
-    v.currentType = e.current.type;
-    return v;
-}
-
 DirEntry &
 DirectoryController::entry(Addr block)
 {
     cosmos_assert(amap_.home(block) == node_, "block 0x", std::hex, block,
                   " is not homed at this directory");
     return entries_.obtain(block);
-}
-
-DirGuardView
-DirectoryController::guardView(Addr block) const
-{
-    const DirEntry *e = entries_.find(block);
-    return e == nullptr ? DirGuardView{} : guardView(*e);
 }
 
 void
@@ -112,8 +88,7 @@ DirectoryController::busy(Addr block) const
 
 void
 DirectoryController::forEachEntry(
-    const std::function<void(Addr, DirState, std::uint64_t, NodeId)> &fn)
-    const
+    const std::function<void(Addr, const DirEntry &)> &fn) const
 {
     std::vector<std::pair<Addr, const DirEntry *>> sorted;
     sorted.reserve(entries_.size());
@@ -123,34 +98,16 @@ DirectoryController::forEachEntry(
     std::sort(sorted.begin(), sorted.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     for (const auto &[block, e] : sorted)
-        fn(block, e->state, e->sharers, e->owner);
+        fn(block, *e);
 }
 
 void
-DirectoryController::snapshot(DirectorySnapshot &out) const
+DirectoryController::restoreEntry(Addr block, const DirEntry &e)
 {
-    out.entries.clear();
-    out.entries.reserve(entries_.size());
-    entries_.forEach([&](Addr block, const DirEntry &e) {
-        // Idle quiescent entries are indistinguishable from absent
-        // ones (state() and busy() default them); dropping them keeps
-        // snapshots of equal states byte-equal.
-        if (e.state == DirState::idle && !e.busy)
-            return;
-        out.entries.push_back({e, block});
-    });
-    std::sort(out.entries.begin(), out.entries.end(),
-              [](const DirEntrySnapshot &a, const DirEntrySnapshot &b) {
-                  return a.block < b.block;
-              });
-}
-
-void
-DirectoryController::restore(const DirectorySnapshot &s)
-{
-    entries_.clear();
-    for (const DirEntrySnapshot &es : s.entries)
-        entry(es.block) = static_cast<const DirEntry &>(es);
+    if (e.state == DirState::idle && !e.busy)
+        entries_.erase(block);
+    else
+        entry(block) = e;
 }
 
 void
@@ -219,11 +176,10 @@ DirectoryController::handleMessage(const Msg &m)
     // stray response or a message no row covers panics inside
     // dispatch() with the offending (phase, input, guard) triple.
     DirEntry &e = entry(m.block);
-    const DirGuardView view = guardView(e);
     const TransitionRow &row = table_.dispatch(
-        Role::directory, static_cast<std::uint8_t>(dirPhaseOf(view)),
-        static_cast<std::uint8_t>(m.type),
-        dirMsgGuard(view, m.type, m.src), node_);
+        Role::directory, static_cast<std::uint8_t>(dirPhaseOf(e)),
+        static_cast<std::uint8_t>(m.type), dirMsgGuard(e, m.type, m.src),
+        node_);
 
     switch (row.action) {
       case ActionId::dir_queue_request:
@@ -408,12 +364,10 @@ DirectoryController::serve(const Msg &m)
     // the serving row (the entry is busy on this request's own
     // behalf, so the queued guard no longer applies). Arrival-time
     // serves re-dispatch to the same row they arrived on.
-    DirGuardView view = guardView(e);
-    view.busy = false;
     const TransitionRow &row = table_.dispatch(
-        Role::directory, static_cast<std::uint8_t>(dirPhaseOf(view)),
+        Role::directory, static_cast<std::uint8_t>(e.state),
         static_cast<std::uint8_t>(m.type),
-        dirMsgGuard(view, m.type, m.src), node_);
+        dirRequestGuard(e, m.type, m.src), node_);
 
     switch (row.action) {
       case ActionId::dir_serve_read:

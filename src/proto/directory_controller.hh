@@ -36,16 +36,6 @@
 namespace cosmos::proto
 {
 
-/** Quiescent directory-entry states (paper §2.1). */
-enum class DirState : std::uint8_t
-{
-    idle,      ///< no cached copies
-    shared,    ///< >= 1 read-only copies
-    exclusive, ///< exactly one writable copy
-};
-
-const char *toString(DirState s);
-
 /**
  * Hook through which a predictor-driven accelerator (§4) steers the
  * directory's speculative choices. The directory consults the hook at
@@ -85,53 +75,6 @@ class DirectorySpeculation
         (void)wantWritable;
         return true;
     }
-};
-
-/**
- * One directory entry: the quiescent state of §2.1 (idle, shared by a
- * sharer set, or exclusive at an owner) plus the transaction in
- * flight (busy flag, the request being served, outstanding acks,
- * queued requests). The controller keeps one per block, and
- * snapshot()/restore() copy it whole.
- */
-struct DirEntry
-{
-    DirState state = DirState::idle;
-    std::uint64_t sharers = 0;
-    NodeId owner = invalid_node;
-
-    bool busy = false;
-    /// requests queued behind the busy entry, oldest first
-    std::vector<Msg> waiting;
-    Msg current{};
-    unsigned pendingAcks = 0;
-    /// current is an upgrade from a live sharer (answer with
-    /// upgrade_response rather than get_rw_response).
-    bool genuineUpgrade = false;
-    /// in-flight transaction is a voluntary owner recall with no
-    /// requester to answer.
-    bool recall = false;
-    /// the in-flight recall was forwarded: the former owner
-    /// answers the requester directly and the home only settles
-    /// state on the revision message.
-    bool fwdData = false;
-    /// still awaiting the requester's fwd_ack; the entry must not
-    /// finish() until it arrives.
-    bool fwdAckPending = false;
-};
-
-/** One entry of a DirectorySnapshot: the entry and its block.
- *  Entries are sorted by block so equal states produce byte-equal
- *  snapshots. */
-struct DirEntrySnapshot : DirEntry
-{
-    Addr block = 0;
-};
-
-/** Whole-directory snapshot (stats excluded; see CacheSnapshot). */
-struct DirectorySnapshot
-{
-    std::vector<DirEntrySnapshot> entries;
 };
 
 /** Counters a directory keeps for reporting and tests. */
@@ -210,10 +153,15 @@ class DirectoryController
     /** True if a transaction is in flight for @p block. */
     bool busy(Addr block) const;
 
-    /** The guard view dispatch derives @p block's guards from (an
-     *  absent entry reads as idle). The model stepper reads each
-     *  handler's pre- and post-phase through it. */
-    DirGuardView guardView(Addr block) const;
+    /**
+     * The entry of @p block, or nullptr when the directory has none
+     * (an absent entry reads as idle). Like entry()'s reference, the
+     * pointer is valid only until the next insert into entries_.
+     */
+    const DirEntry *findEntry(Addr block) const
+    {
+        return entries_.find(block);
+    }
 
     NodeId node() const { return node_; }
     const DirectoryStats &stats() const { return stats_; }
@@ -221,15 +169,15 @@ class DirectoryController
     /** Enumerate all known entries in ascending block order, so a
      *  report built from the walk does not depend on how entries are
      *  stored (invariant checking support). */
-    void forEachEntry(const std::function<void(
-                          Addr, DirState, std::uint64_t, NodeId)> &fn)
-        const;
+    void forEachEntry(
+        const std::function<void(Addr, const DirEntry &)> &fn) const;
 
-    /** Capture the protocol state into @p out (stats excluded). */
-    void snapshot(DirectorySnapshot &out) const;
-
-    /** Replace the protocol state with @p s (stats untouched). */
-    void restore(const DirectorySnapshot &s);
+    /**
+     * Replace @p block's entry with @p e (stats untouched). An idle
+     * entry with no transaction in flight is dropped instead, since
+     * an absent entry reads the same.
+     */
+    void restoreEntry(Addr block, const DirEntry &e);
 
   private:
     /**
@@ -239,9 +187,6 @@ class DirectoryController
      * No action inserts another block's entry while it holds one.
      */
     DirEntry &entry(Addr block);
-    /** The guard-relevant slice of @p e, in the shape the transition
-     *  table's guard predicates are declared over. */
-    static DirGuardView guardView(const DirEntry &e);
 
     // Named action fragments the transition table's rows reference
     // (ActionId::dir_*). handleMessage() looks the row up and runs

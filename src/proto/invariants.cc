@@ -115,11 +115,12 @@ blockView(const Machine &machine, Addr block)
         return v; // the rule does not read the home
     const DirectoryController &dir =
         machine.directory(machine.addrMap().home(block));
-    const DirGuardView home = dir.guardView(block);
-    v.homeBusy = home.busy;
-    v.homeState = static_cast<DirState>(home.state);
-    v.sharers = home.sharers;
-    v.owner = dir.owner(block);
+    if (const DirEntry *home = dir.findEntry(block)) {
+        v.homeBusy = home->busy;
+        v.homeState = home->state;
+        v.sharers = home->sharers;
+        v.owner = home->owner;
+    }
     v.silentDrops = machine.config().cacheCapacityBlocks != 0;
     return v;
 }
@@ -132,9 +133,7 @@ knownBlocks(const Machine &machine)
         machine.cache(n).forEachLine(
             [&](Addr b, LineState) { blocks.push_back(b); });
         machine.directory(n).forEachEntry(
-            [&](Addr b, DirState, std::uint64_t, NodeId) {
-                blocks.push_back(b);
-            });
+            [&](Addr b, const DirEntry &) { blocks.push_back(b); });
     }
     std::sort(blocks.begin(), blocks.end());
     blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());

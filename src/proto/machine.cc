@@ -67,35 +67,6 @@ Machine::addObserver(MsgObserver *obs)
 }
 
 void
-Machine::snapshot(MachineSnapshot &out) const
-{
-    cosmos_assert(eq_.pending() == 0,
-                  "machine snapshot requires a drained event queue (",
-                  eq_.pending(), " events in flight)");
-    out.caches.resize(caches_.size());
-    out.directories.resize(directories_.size());
-    for (std::size_t n = 0; n < caches_.size(); ++n) {
-        caches_[n]->snapshot(out.caches[n]);
-        directories_[n]->snapshot(out.directories[n]);
-    }
-}
-
-void
-Machine::restore(const MachineSnapshot &s)
-{
-    cosmos_assert(s.caches.size() == caches_.size() &&
-                      s.directories.size() == directories_.size(),
-                  "snapshot is for a machine with a different node "
-                  "count");
-    cosmos_assert(eq_.pending() == 0,
-                  "machine restore requires a drained event queue");
-    for (std::size_t n = 0; n < caches_.size(); ++n) {
-        caches_[n]->restore(s.caches[n]);
-        directories_[n]->restore(s.directories[n]);
-    }
-}
-
-void
 Machine::deliver(const Msg &m, bool local)
 {
     const Role role = receiverRole(m.type);

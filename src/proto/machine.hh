@@ -73,20 +73,6 @@ class MsgObserver
                            Tick when) = 0;
 };
 
-/**
- * Protocol state of the whole machine at a quiescent point: one
- * snapshot per cache and per directory slice. Valid only when the
- * event queue is drained -- an in-flight message lives only inside
- * the type-erased callable stored in an event-queue slot, which
- * cannot be inspected or copied; the model checker (src/model) keeps
- * its message pool explicitly for exactly this reason.
- */
-struct MachineSnapshot
-{
-    std::vector<CacheSnapshot> caches;
-    std::vector<DirectorySnapshot> directories;
-};
-
 /** The whole simulated machine. */
 class Machine
 {
@@ -132,16 +118,6 @@ class Machine
 
     /** The interconnect (schedule-fuzzing hooks live on it). */
     net::Network<Msg> &network() { return network_; }
-
-    /**
-     * Capture every controller's protocol state into @p out. Asserts
-     * the machine is quiescent (no pending events): mid-flight
-     * messages are event-queue callables and would be silently lost.
-     */
-    void snapshot(MachineSnapshot &out) const;
-
-    /** Restore a quiescent snapshot taken by snapshot(). */
-    void restore(const MachineSnapshot &s);
 
     /** Tag subsequent messages with application iteration @p it. */
     void setIteration(int it) { iteration_ = it; }

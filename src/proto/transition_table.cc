@@ -94,44 +94,45 @@ cacheMsgGuard(const Msg &m)
 }
 
 GuardBits
-dirMsgGuard(const DirGuardView &v, MsgType t, NodeId src)
+dirRequestGuard(const DirEntry &e, MsgType t, NodeId src)
 {
     GuardBits g = guard_none;
     const std::uint64_t srcBit = std::uint64_t{1} << src;
+    if (t == MsgType::upgrade_request)
+        g |= (e.sharers & srcBit) ? guard_sharer : guard_nonsharer;
+    if (t != MsgType::get_ro_request && e.state == DirState::shared)
+        g |= (e.sharers & ~srcBit) ? guard_others : guard_solo;
+    return g;
+}
+
+GuardBits
+dirMsgGuard(const DirEntry &e, MsgType t, NodeId src)
+{
+    GuardBits g = guard_none;
     switch (t) {
       case MsgType::get_ro_request:
       case MsgType::get_rw_request:
       case MsgType::upgrade_request:
-        if (v.busy) {
-            g |= guard_queued;
-            break;
-        }
-        if (t == MsgType::upgrade_request)
-            g |= (v.sharers & srcBit) ? guard_sharer : guard_nonsharer;
-        if (t != MsgType::get_ro_request &&
-            v.state == static_cast<std::uint8_t>(DirPhase::shared)) {
-            g |= (v.sharers & ~srcBit) ? guard_others : guard_solo;
-        }
-        break;
+        return e.busy ? guard_queued : dirRequestGuard(e, t, src);
       case MsgType::inval_ro_response:
-        g |= v.pendingAcks > 1 ? guard_more_acks : guard_last_ack;
-        if (v.pendingAcks <= 1 && v.genuineUpgrade)
+        g |= e.pendingAcks > 1 ? guard_more_acks : guard_last_ack;
+        if (e.pendingAcks <= 1 && e.genuineUpgrade)
             g |= guard_upg;
-        if (v.pendingAcks <= 1 && !v.waitingEmpty)
+        if (e.pendingAcks <= 1 && !e.waiting.empty())
             g |= guard_q;
         break;
       case MsgType::inval_rw_response:
       case MsgType::downgrade_response:
-        if (v.fwdData)
+        if (e.fwdData)
             g |= guard_fwd;
-        if (v.fwdAckPending)
+        if (e.fwdAckPending)
             g |= guard_await_ack;
-        if (!v.waitingEmpty)
+        if (!e.waiting.empty())
             g |= guard_q;
         break;
       case MsgType::fwd_ack:
-        g |= v.pendingAcks > 0 ? guard_await_data : guard_data_done;
-        if (v.pendingAcks == 0 && !v.waitingEmpty)
+        g |= e.pendingAcks > 0 ? guard_await_data : guard_data_done;
+        if (e.pendingAcks == 0 && !e.waiting.empty())
             g |= guard_q;
         break;
       default:
@@ -141,13 +142,13 @@ dirMsgGuard(const DirGuardView &v, MsgType t, NodeId src)
 }
 
 DirPhase
-dirPhaseOf(const DirGuardView &v)
+dirPhaseOf(const DirEntry &e)
 {
-    if (!v.busy)
-        return static_cast<DirPhase>(v.state);
-    if (v.recall)
+    if (!e.busy)
+        return static_cast<DirPhase>(e.state);
+    if (e.recall)
         return DirPhase::busy_recall;
-    return v.currentType == MsgType::get_ro_request
+    return e.current.type == MsgType::get_ro_request
                ? DirPhase::busy_read
                : DirPhase::busy_write;
 }

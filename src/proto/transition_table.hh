@@ -36,9 +36,11 @@
  *
  * Guards are small orthogonal predicates over module-local hidden
  * state (directory ack counts, FIFO backlog, the forwarded mark on a
- * message). The controllers and the model stepper derive them through
- * the same functions (cacheMsgGuard, dirMsgGuard), so a model sample
- * resolves to the row its dispatch matched.
+ * message). The directory's predicates read its own DirEntry, which
+ * is declared here beside them. The controllers and the model stepper
+ * derive guards through the same functions (cacheMsgGuard,
+ * dirMsgGuard), so a model sample resolves to the row its dispatch
+ * matched.
  */
 
 #ifndef COSMOS_PROTO_TRANSITION_TABLE_HH
@@ -55,9 +57,53 @@
 namespace cosmos::proto
 {
 
+/** Quiescent directory-entry states (paper §2.1). */
+enum class DirState : std::uint8_t
+{
+    idle,      ///< no cached copies
+    shared,    ///< >= 1 read-only copies
+    exclusive, ///< exactly one writable copy
+};
+
+const char *toString(DirState s);
+
+/**
+ * One directory entry: the quiescent state of §2.1 (idle, shared by a
+ * sharer set, or exclusive at an owner) plus the transaction in
+ * flight (busy flag, the request being served, outstanding acks,
+ * queued requests). The directory controller keeps one per block;
+ * the guard predicates below, the coherence rule and the model
+ * stepper read it as it is.
+ */
+struct DirEntry
+{
+    DirState state = DirState::idle;
+    std::uint64_t sharers = 0;
+    NodeId owner = invalid_node;
+
+    bool busy = false;
+    /// requests queued behind the busy entry, oldest first
+    std::vector<Msg> waiting;
+    Msg current{};
+    unsigned pendingAcks = 0;
+    /// current is an upgrade from a live sharer (answer with
+    /// upgrade_response rather than get_rw_response).
+    bool genuineUpgrade = false;
+    /// in-flight transaction is a voluntary owner recall with no
+    /// requester to answer.
+    bool recall = false;
+    /// the in-flight recall was forwarded: the former owner
+    /// answers the requester directly and the home only settles
+    /// state on the revision message.
+    bool fwdData = false;
+    /// still awaiting the requester's fwd_ack; the entry must not
+    /// finish() until it arrives.
+    bool fwdAckPending = false;
+};
+
 /**
  * Abstract directory phase a table row keys on. Quiescent values
- * (idle/shared/exclusive) coincide numerically with proto::DirState;
+ * (idle/shared/exclusive) coincide numerically with DirState;
  * busy entries are split by what the transaction waits for. The
  * model checker's directory samples use it as their state.
  */
@@ -123,32 +169,16 @@ std::string guardContext(GuardBits g);
  *  mark and, for recalls, the wanted copy kind). */
 GuardBits cacheMsgGuard(const Msg &m);
 
-/**
- * The slice of directory-entry state guards are evaluated over. The
- * directory controller builds it from its DirEntry for dispatch and
- * hands the same view to the model stepper (guardView(block)), so
- * the two always agree.
- */
-struct DirGuardView
-{
-    bool busy = false;
-    /** Quiescent DirState value (idle/shared/exclusive). */
-    std::uint8_t state = 0;
-    std::uint64_t sharers = 0;
-    unsigned pendingAcks = 0;
-    bool genuineUpgrade = false;
-    bool recall = false;
-    bool fwdData = false;
-    bool fwdAckPending = false;
-    bool waitingEmpty = true;
-    MsgType currentType{};
-};
+/** Guard bits the directory derives for message @p t from @p src
+ *  against entry @p e. */
+GuardBits dirMsgGuard(const DirEntry &e, MsgType t, NodeId src);
 
-/** Guard bits the directory derives for message @p t from @p src. */
-GuardBits dirMsgGuard(const DirGuardView &v, MsgType t, NodeId src);
+/** Guard bits of request @p t from @p src served against @p e's
+ *  quiescent state: dirMsgGuard of a request with `busy` unread. */
+GuardBits dirRequestGuard(const DirEntry &e, MsgType t, NodeId src);
 
-/** Abstract phase of a directory entry. */
-DirPhase dirPhaseOf(const DirGuardView &v);
+/** Abstract phase of directory entry @p e. */
+DirPhase dirPhaseOf(const DirEntry &e);
 
 /**
  * Which channel (sender class) a row's input arrives on. The

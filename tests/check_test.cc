@@ -218,18 +218,14 @@ TEST(InvariantEngine, HistoryKeepsTheLastDeliveriesOldestFirst)
  *  that node 1 holds block 0 in state @p line and block 0's home entry
  *  is @p home. */
 std::vector<check::Violation>
-sweepRestored(proto::LineState line, proto::DirEntrySnapshot home,
+sweepRestored(proto::LineState line, const proto::DirEntry &home,
               unsigned cacheCapacityBlocks = 0)
 {
     MachineConfig cfg = smallConfig(3);
     cfg.cacheCapacityBlocks = cacheCapacityBlocks;
     proto::Machine machine(cfg);
-    proto::MachineSnapshot s;
-    machine.snapshot(s);
-    s.caches[1].lines = {{0, line}};
-    home.block = 0;
-    s.directories[machine.addrMap().home(0)].entries = {home};
-    machine.restore(s);
+    machine.cache(1).restoreLine(0, line);
+    machine.directory(machine.addrMap().home(0)).restoreEntry(0, home);
 
     check::InvariantEngine engine(machine);
     engine.checkQuiescent();
@@ -241,7 +237,7 @@ sweepRestored(proto::LineState line, proto::DirEntrySnapshot home,
 std::vector<NodeId>
 unlistedHolderCulprits(unsigned cacheCapacityBlocks)
 {
-    proto::DirEntrySnapshot e;
+    proto::DirEntry e;
     e.state = proto::DirState::shared;
     e.sharers = std::uint64_t{1} << 2;
     const std::vector<check::Violation> violations =
@@ -268,7 +264,7 @@ TEST(InvariantEngine, OwnerlessExclusiveEntryNamesOnlyTheHolder)
     // Node 1 holds block 0 read_write while its home says exclusive
     // with no owner. The holder is the only culprit: an owner no node
     // mask can hold must not add a phantom node to the report.
-    proto::DirEntrySnapshot e;
+    proto::DirEntry e;
     e.state = proto::DirState::exclusive;
     const std::vector<check::Violation> violations =
         sweepRestored(proto::LineState::read_write, e);

@@ -357,6 +357,8 @@ TEST(Explore, ForwardingDowngradePolicyIsClean)
     opt.mc.policy = OwnerReadPolicy::downgrade;
     const model::ExploreResult res = model::explore(opt);
     EXPECT_TRUE(res.clean());
+    EXPECT_EQ(res.states, 857u);
+    EXPECT_EQ(res.transitions, 2034u);
     EXPECT_TRUE(res.consistent());
 }
 
@@ -409,6 +411,8 @@ TEST(Explore, DowngradePolicyIsClean)
     opt.mc.policy = OwnerReadPolicy::downgrade;
     const model::ExploreResult res = model::explore(opt);
     EXPECT_TRUE(res.clean());
+    EXPECT_EQ(res.states, 479u);
+    EXPECT_EQ(res.transitions, 1128u);
     EXPECT_TRUE(res.consistent());
 }
 

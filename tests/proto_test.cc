@@ -375,7 +375,7 @@ TEST(Invariants, DirectoryEntriesAreVisitedInBlockOrder)
         access(m, 1, base + i * m.config().blockBytes, false);
     std::vector<Addr> seen;
     m.directory(0).forEachEntry(
-        [&](Addr b, DirState, std::uint64_t, NodeId) { seen.push_back(b); });
+        [&](Addr b, const DirEntry &) { seen.push_back(b); });
     EXPECT_EQ(seen.size(), 5u);
     EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
 }
@@ -430,6 +430,30 @@ TEST(Replacement, VictimIsTheLowestAddressedReadOnlyLine)
     EXPECT_TRUE(holds({3, 6}));
     EXPECT_EQ(m.cache(3).state(blk(0)), LineState::read_write);
     EXPECT_EQ(m.cache(3).stats().evictions, 3u);
+    EXPECT_TRUE(checkCoherence(m).empty());
+}
+
+TEST(Replacement, RestoredLinesCountTowardCapacity)
+{
+    // Restored lines fill the cache like fetched ones: the next miss
+    // must make room by dropping the lowest of them.
+    auto cfg = smallMachine();
+    cfg.cacheCapacityBlocks = 2;
+    Machine m(cfg);
+    const Addr base = blockHomedAt(m, 0);
+    const auto blk = [&](int i) { return base + i * cfg.blockBytes; };
+    DirEntry shared;
+    shared.state = DirState::shared;
+    shared.sharers = 1u << 3;
+    for (const int i : {0, 1}) {
+        m.cache(3).restoreLine(blk(i), LineState::read_only);
+        m.directory(0).restoreEntry(blk(i), shared);
+    }
+    access(m, 3, blk(2), false);
+    EXPECT_EQ(m.cache(3).stats().evictions, 1u);
+    EXPECT_EQ(m.cache(3).state(blk(0)), LineState::invalid);
+    EXPECT_EQ(m.cache(3).state(blk(1)), LineState::read_only);
+    EXPECT_EQ(m.cache(3).state(blk(2)), LineState::read_only);
     EXPECT_TRUE(checkCoherence(m).empty());
 }
 

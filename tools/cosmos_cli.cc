@@ -73,7 +73,7 @@
  *                    the direct-reply-vs-next-invalidation race
  *   --inject-ignore-inval N
  *                    plant the lost-invalidation bug (the checker
- *                    must find an SWMR counterexample)
+ *                    must find an SWMR counterexample), 0..256
  *   --out FILE       write the cosmos-model-v2 JSON artifact: the
  *                    verdicts, every live declared row with its hit
  *                    count, and the consistency findings
@@ -949,6 +949,8 @@ cmdModel(const CliArgs &args)
     if (args.haveBlocks)
         checkRange("--blocks", args.fuzzBlocks, 1, model::max_blocks);
     checkRange("--reorder", args.modelReorder, 0, model::max_queue - 1);
+    checkRange("--inject-ignore-inval", args.injectIgnoreInval, 0,
+               model::max_ignore_inval_every);
 
     model::ExploreOptions opt;
     opt.mc.numNodes = static_cast<NodeId>(args.haveNodes
